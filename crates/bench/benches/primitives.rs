@@ -53,7 +53,7 @@ fn algorithm_transactions(c: &mut Criterion) {
         let htm = Htm::new(Arc::clone(&heap), HtmConfig::default());
         let rt = TmRuntime::new(Arc::clone(&heap), htm, TmConfig::new(alg)).expect("runtime construction cannot fail");
         let addr = heap.allocator().alloc(0, 8).unwrap();
-        let mut worker = rt.register(0).expect("fresh thread id");
+        let mut worker = rt.open_session().expect("free worker slot");
         group.bench_function(alg.label(), |b| {
             b.iter(|| {
                 worker.execute(TxKind::ReadWrite, |tx| {

@@ -118,7 +118,8 @@ fn run_batch_cell(cfg: &TransferBatchConfig, workers: usize) -> Cell {
         let config = BatchConfig::with_workers(workers).with_interleave(u32::from(workers > 1));
         let exec = ParallelExecutor::new(Arc::clone(&heap), config)
             .expect("batch executor construction cannot fail");
-        exec.execute(&workload.batch())
+        let batch = workload.batch();
+        exec.execute(&batch, &[batch.len()]).0
     };
     workload
         .verify(&heap)

@@ -354,8 +354,8 @@ pub fn run_case(case: &CaseConfig, sched_cfg: &SchedConfig) -> Result<CaseReport
     let tm_cfg = builder.build().expect("harness case config must be valid");
     let rt = TmRuntime::new(Arc::clone(&heap), htm, tm_cfg)
         .expect("harness runtime construction cannot fail");
-    // Arm before any worker registers: some mutants (bloom sabotage) are
-    // sampled at registration time.
+    // Arm before any session opens: some mutants (bloom sabotage) are
+    // sampled when a session opens.
     if let Some(mutant) = case.mutant {
         rt.set_mutant(mutant, true);
     }
@@ -373,12 +373,14 @@ pub fn run_case(case: &CaseConfig, sched_cfg: &SchedConfig) -> Result<CaseReport
         .into_iter()
         .enumerate()
         .map(|(tid, script)| {
-            let rt = Arc::clone(&rt);
+            // Opened here, in tid order, not inside the virtual thread:
+            // the seeded schedule must not decide which worker gets which
+            // id (the id fixes the home clock lane and the rng seeds).
+            let mut worker = rt.open_session().expect("free worker slot");
             let slots = slots.clone();
             let sink: Arc<dyn TraceSink> = Arc::clone(&recorder) as Arc<dyn TraceSink>;
             Box::new(move || {
                 trace::install(sink, tid);
-                let mut worker = rt.register(tid).expect("fresh thread id");
                 for ops in &script {
                     let kind = if ops.iter().all(|o| matches!(o, Op::Read(_))) {
                         TxKind::ReadOnly
@@ -662,9 +664,10 @@ fn run_batch_case(
         exec.set_mutant(mutant, true);
     }
 
+    let bounds = [batch.len()];
     let (report, run) =
-        match catch_unwind(AssertUnwindSafe(|| exec.execute_controlled(&batch, sched_cfg))) {
-            Ok(pair) => pair,
+        match catch_unwind(AssertUnwindSafe(|| exec.execute_controlled(&batch, &bounds, sched_cfg))) {
+            Ok((report, _elapsed, run)) => (report, run),
             Err(payload) => {
                 return Err(CaseFailure::Panicked {
                     seed: sched_cfg.seed,
@@ -882,11 +885,10 @@ pub fn privatization_case(
 
     let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-    for tid in 0..2usize {
-        let rt = Arc::clone(&rt);
+    for _ in 0..2usize {
+        let mut worker = rt.open_session().expect("free worker slot");
         let done = Arc::clone(&done);
         bodies.push(Box::new(move || {
-            let mut worker = rt.register(tid).expect("fresh thread id");
             while !done.load(std::sync::atomic::Ordering::Acquire) {
                 worker.execute(TxKind::ReadWrite, |tx| {
                     let target = tx.read_addr(head)?;
@@ -900,11 +902,10 @@ pub fn privatization_case(
         }));
     }
     {
-        let rt = Arc::clone(&rt);
+        let mut worker = rt.open_session().expect("free worker slot");
         let heap = Arc::clone(&heap);
         let done = Arc::clone(&done);
         bodies.push(Box::new(move || {
-            let mut worker = rt.register(2).expect("fresh thread id");
             // Let the writers churn for a few scheduling quanta.
             for _ in 0..32 {
                 sched::yield_point();

@@ -63,10 +63,10 @@ fn final_state(
             .expect("test batch config is valid");
         match sched_seed {
             Some(s) => {
-                exec.execute_controlled(&batch, &SchedConfig::from_seed(s));
+                exec.execute_controlled(&batch, &[batch.len()], &SchedConfig::from_seed(s));
             }
             None => {
-                exec.execute(&batch);
+                exec.execute(&batch, &[batch.len()]);
             }
         }
     }
@@ -129,7 +129,7 @@ fn one_worker_takes_the_fast_path_with_identical_state() {
     let batch = bind_trace(&store, &trace);
     let exec = ParallelExecutor::new(Arc::clone(&heap), BatchConfig::default())
         .expect("default batch config is valid");
-    let report = exec.execute(&batch);
+    let (report, _) = exec.execute(&batch, &[batch.len()]);
     assert!(!report.speculative(), "one worker must not speculate");
     assert_eq!(report.aborts(), 0);
     assert_eq!(report.validations(), 0);

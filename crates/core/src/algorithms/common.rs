@@ -1,18 +1,42 @@
-//! Machinery shared by the algorithm implementations: the hardware
-//! fast-path context, the direct (serialized) context, abort
-//! classification, and the serial lock.
+//! Machinery shared by the algorithm implementations: the hardware fast
+//! path of the three hardware-first engines, the direct (serialized)
+//! context, abort classification, and the serial lock.
 
 use sim_htm::{AbortCode, HtmThread};
 use sim_mem::{Addr, Heap};
 
 use crate::cost;
 use crate::error::{TxFault, TxResult, RESTART};
+use crate::runtime::TmRuntime;
+use crate::session::Session;
 use crate::stats::TmThreadStats;
-use crate::tx::{TxMem, TxOps};
+use crate::trace;
+use crate::tx::{Tx, TxCtx, TxMem, TxOps};
 use crate::txlog::Backoff;
+use crate::TxKind;
+
+/// What a hardware-first engine's fast path subscribes to, and when it
+/// touches the clock — the one decision that tells Lock Elision, Hybrid
+/// NOrec and RH NOrec apart (Algorithm 1, §2.2).
+#[derive(Clone, Copy)]
+pub(crate) struct FastPath {
+    /// The lock word read at begin, so that its holder's first store
+    /// aborts the speculation: the serial lock (Lock Elision) or
+    /// `global_htm_lock` (the NOrec hybrids). `None` only under the
+    /// `elision_no_subscription` corpus mutant.
+    pub(crate) lock: Option<Addr>,
+    /// Also subscribe to the clock (every lane) at begin — Hybrid NOrec's
+    /// defining and costly step: every slow-path writer's clock update
+    /// then aborts every running fast path, related data or not.
+    pub(crate) clock_at_begin: bool,
+    /// Modeled cycles charged once the hardware transaction has begun.
+    pub(crate) begin_cycles: u64,
+    /// Writers run [`fast_commit_clock_update`] just before commit.
+    pub(crate) commit_clock_update: bool,
+}
 
 /// Why a fast-path attempt failed to commit.
-pub(crate) enum FastFail {
+enum FastFail {
     /// The hardware transaction aborted (`None` when the device reported
     /// no code, e.g. an explicit user abort path that lost it).
     Htm(Option<AbortCode>),
@@ -184,8 +208,172 @@ impl TxOps for DirectCtx<'_> {
     }
 }
 
+/// The hardware fast path: up to `fast_path_retries` attempts, backing
+/// off between retryable aborts. `Some` when an attempt committed or the
+/// body faulted; `None` when the engine must run its fallback.
+pub(crate) fn run_fast<T>(
+    t: &mut Session,
+    kind: TxKind,
+    body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
+    fast: FastPath,
+) -> Option<Result<T, TxFault>> {
+    let retries = t.rt.config().retry.fast_path_retries;
+    let mut attempts = 0;
+    loop {
+        trace::begin(trace::Path::Fast);
+        match try_fast(t, kind, body, fast) {
+            Ok(value) => {
+                trace::commit(trace::Path::Fast);
+                t.stats.fast_path_commits += 1;
+                return Some(Ok(value));
+            }
+            Err(FastFail::Fault(fault)) => {
+                trace::abort();
+                return Some(Err(fault));
+            }
+            Err(FastFail::Htm(code)) => {
+                trace::abort();
+                let code = code?;
+                classify_fast_abort(&mut t.stats, code);
+                attempts += 1;
+                if !code.may_retry() || attempts >= retries {
+                    return None;
+                }
+                // Backoff before retrying in hardware so the conflicting
+                // transaction can finish (what production elision
+                // runtimes do between xbegin attempts); otherwise retries
+                // re-collide and convoy into the fallback.
+                sim_htm::sched::yield_point();
+                t.backoff.pause(attempts - 1, &mut t.stats.cycles);
+            }
+        }
+    }
+}
+
+/// One hardware attempt. `Err(Htm(None))` means the attempt could not
+/// begin.
+fn try_fast<T>(
+    t: &mut Session,
+    kind: TxKind,
+    body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
+    fast: FastPath,
+) -> Result<T, FastFail> {
+    let rt = t.rt.clone();
+    let heap: &Heap = rt.heap();
+
+    if t.htm_thread.begin().is_err() {
+        return Err(FastFail::Htm(None));
+    }
+    t.stats.cycles += fast.begin_cycles;
+    if let Some(lock) = fast.lock {
+        match t.htm_thread.read(lock) {
+            Ok(0) => {}
+            Ok(_) => {
+                let code = t.htm_thread.abort(xabort::LOCK_HELD).code;
+                return fast_abort(t, heap, code);
+            }
+            Err(e) => return fast_abort(t, heap, e.code),
+        }
+    }
+    if fast.clock_at_begin {
+        if let Err(code) = rt.globals().clock.htm_subscribe(&mut t.htm_thread) {
+            return fast_abort(t, heap, code);
+        }
+    }
+
+    let interleave = rt.config().interleave_accesses;
+    let ctx = FastCtx::new(&mut t.htm_thread, heap, &mut t.mem, t.tid, interleave);
+    let mut tx = Tx::new(TxCtx::Fast(ctx), kind);
+    let outcome = body(&mut tx);
+    let (ctx, fault) = tx.into_parts();
+    let TxCtx::Fast(ctx) = ctx else { unreachable!() };
+    let (wrote, dead) = (ctx.wrote, ctx.dead);
+    t.stats.cycles += ctx.meter.cycles;
+
+    if let Some(fault) = fault {
+        // The refused write never reached the device; discard the live
+        // speculation (if the hardware hadn't already aborted) and report
+        // the programming error.
+        if dead.is_none() {
+            t.htm_thread.abort(xabort::FAULT);
+        }
+        t.stats.cycles += cost::HTM_ABORT;
+        t.mem.rollback(heap, t.tid);
+        return Err(FastFail::Fault(fault));
+    }
+    let value = match (outcome, dead) {
+        (Ok(value), None) => value,
+        (_, Some(code)) => return fast_abort(t, heap, code),
+        (Err(_), None) => unreachable!("fast-path body restarted without an abort"),
+    };
+    // A write in a read-only body faults before reaching the device, so
+    // `wrote` alone implies a read-write transaction.
+    if wrote && fast.commit_clock_update {
+        if let Err(code) = fast_commit_clock_update(t, &rt) {
+            return fast_abort(t, heap, code);
+        }
+    }
+    match t.htm_thread.commit() {
+        Ok(()) => {
+            t.stats.cycles += cost::HTM_COMMIT;
+            t.mem.commit(heap, t.tid);
+            Ok(value)
+        }
+        Err(e) => fast_abort(t, heap, e.code),
+    }
+}
+
+/// Charges a dead hardware attempt and undoes its allocations.
+fn fast_abort<T>(t: &mut Session, heap: &Heap, code: AbortCode) -> Result<T, FastFail> {
+    t.stats.cycles += cost::HTM_ABORT;
+    t.mem.rollback(heap, t.tid);
+    Err(FastFail::Htm(Some(code)))
+}
+
+/// Writer fast-path commit step: when slow paths exist, bump the clock
+/// (and honor the serial lock). Hybrid NOrec and RH NOrec both run it —
+/// but RH NOrec's clock enters the tracking set only here, at commit.
+fn fast_commit_clock_update(t: &mut Session, rt: &TmRuntime) -> Result<(), AbortCode> {
+    let g = rt.globals();
+    t.stats.cycles += 4 * cost::HTM_ACCESS;
+    let fallbacks = match t.htm_thread.read(g.num_of_fallbacks) {
+        Ok(v) => v,
+        Err(e) => return Err(e.code),
+    };
+    if fallbacks == 0 {
+        return Ok(());
+    }
+    match t.htm_thread.read(g.serial_lock) {
+        Ok(0) => {}
+        Ok(_) => return Err(t.htm_thread.abort(xabort::LOCK_HELD).code),
+        Err(e) => return Err(e.code),
+    }
+    // MUTANT (`missing_lane_bump`): writers homed on lane 0 skip the
+    // commit bump entirely — their commits never reach the lane vector, so
+    // software snapshots validate right past them.
+    #[cfg(feature = "mutants")]
+    if rt.mutant_armed(crate::mutants::Mutant::MissingLaneBump)
+        && g.clock.shards() > 1
+        && g.clock.home_lane(t.tid) == 0
+    {
+        return Ok(());
+    }
+    // Sharded, only the committer's home lane enters the tracking set, so
+    // disjoint fast-path writers stop aborting each other here.
+    g.clock.htm_commit_bump(&mut t.htm_thread, t.tid)?;
+    // Interleave pacing (same rationale as `Meter::tick`): on a host with
+    // fewer cores than workers, yield inside the window between the clock
+    // subscription and the hardware commit — on dedicated cores this is
+    // exactly where concurrent commit bumps collide, and without the yield
+    // the window never overlaps another thread's commit at all.
+    if rt.config().interleave_accesses != 0 {
+        std::thread::yield_now();
+    }
+    Ok(())
+}
+
 /// Records a fast-path abort in the figure statistics.
-pub(crate) fn classify_fast_abort(stats: &mut TmThreadStats, code: AbortCode) {
+fn classify_fast_abort(stats: &mut TmThreadStats, code: AbortCode) {
     match code {
         AbortCode::Conflict => stats.fast_conflict_aborts += 1,
         AbortCode::Capacity { .. } => stats.fast_capacity_aborts += 1,

@@ -13,392 +13,74 @@
 //!   says a slow path is running, and abort if the §3.3 serial lock is
 //!   held.
 
-use sim_htm::AbortCode;
-use sim_mem::Heap;
+use std::sync::Arc;
 
-use crate::algorithms::common::{
-    acquire_word_lock, classify_fast_abort, release_word_lock, xabort, FastCtx, FastFail, Meter,
-};
-use crate::clock_shard::ClockSnapshot;
+use crate::algorithms::common::{acquire_word_lock, release_word_lock, run_fast, FastPath};
+use crate::algorithms::norec::Stm;
 use crate::cost;
-use crate::algorithms::norec::{EagerCtx, LazyCtx};
 use crate::error::{TxFault, TxResult};
-use crate::runtime::TmThread;
-use crate::trace;
-use crate::tx::{Tx, TxCtx};
+use crate::session::Session;
+use crate::tx::Tx;
 use crate::TxKind;
 
 pub(crate) fn run<T>(
-    t: &mut TmThread,
+    t: &mut Session,
     kind: TxKind,
     body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
     lazy: bool,
 ) -> Result<T, TxFault> {
-    let retries = t.rt.config().retry.fast_path_retries;
-    let mut attempts = 0;
-    loop {
-        trace::begin(trace::Path::Fast);
-        match try_fast(t, kind, body) {
-            Ok(value) => {
-                trace::commit(trace::Path::Fast);
-                t.stats.fast_path_commits += 1;
-                return Ok(value);
-            }
-            Err(FastFail::Fault(fault)) => {
-                trace::abort();
-                return Err(fault);
-            }
-            Err(FastFail::Htm(code)) => {
-                trace::abort();
-                if let Some(code) = code {
-                    classify_fast_abort(&mut t.stats, code);
-                    attempts += 1;
-                    if code.may_retry() && attempts < retries {
-                        // Backoff before retrying in hardware so the
-                        // conflicting transaction can finish (what
-                        // production elision runtimes do between xbegin
-                        // attempts); otherwise retries re-collide and
-                        // convoy into the fallback.
-                        sim_htm::sched::yield_point();
-                        t.backoff.pause(attempts - 1, &mut t.stats.cycles);
-                        continue;
-                    }
-                }
-                break;
-            }
-        }
-    }
-    if lazy {
-        slow_path_lazy(t, kind, body)
-    } else {
-        slow_path(t, kind, body)
-    }
-}
-
-/// One hardware fast-path attempt. `Err(Htm(None))` means HTM refused to
-/// begin.
-fn try_fast<T>(
-    t: &mut TmThread,
-    kind: TxKind,
-    body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
-) -> Result<T, FastFail> {
-    let rt = t.rt.clone();
-    let heap: &Heap = rt.heap();
-    let g = rt.globals();
-
-    if t.htm_thread.begin().is_err() {
-        return Err(FastFail::Htm(None));
-    }
-    t.stats.cycles += cost::HTM_BEGIN + 2 * cost::HTM_ACCESS;
-    // Subscribe to the HTM lock.
-    match t.htm_thread.read(g.global_htm_lock) {
-        Ok(0) => {}
-        Ok(_) => {
-            t.stats.cycles += cost::HTM_ABORT;
-            return Err(FastFail::Htm(Some(t.htm_thread.abort(xabort::LOCK_HELD).code)));
-        }
-        Err(e) => {
-            t.stats.cycles += cost::HTM_ABORT;
-            return Err(FastFail::Htm(Some(e.code)));
-        }
-    }
-    // Subscribe to the global clock AT START — Hybrid NOrec's defining
-    // (and costly) step: the clock (every lane, when sharded) stays in the
-    // tracking set for the whole transaction.
-    if let Err(code) = g.clock.htm_subscribe(&mut t.htm_thread) {
-        t.stats.cycles += cost::HTM_ABORT;
-        return Err(FastFail::Htm(Some(code)));
-    }
-
-    let interleave = t.rt.config().interleave_accesses;
-    let ctx = FastCtx::new(&mut t.htm_thread, heap, &mut t.mem, t.tid, interleave);
-    let mut tx = Tx::new(TxCtx::Fast(ctx), kind);
-    let outcome = body(&mut tx);
-    let (ctx, fault) = tx.into_parts();
-    let TxCtx::Fast(ctx) = ctx else { unreachable!() };
-    let wrote = ctx.wrote;
-    let dead = ctx.dead;
-    t.stats.cycles += ctx.meter.cycles;
-
-    if let Some(fault) = fault {
-        if dead.is_none() {
-            t.htm_thread.abort(xabort::FAULT);
-        }
-        t.stats.cycles += cost::HTM_ABORT;
-        t.mem.rollback(heap, t.tid);
-        return Err(FastFail::Fault(fault));
-    }
-    match outcome {
-        Ok(value) => {
-            if let Some(code) = dead {
-                t.stats.cycles += cost::HTM_ABORT;
-                t.mem.rollback(heap, t.tid);
-                return Err(FastFail::Htm(Some(code)));
-            }
-            // Commit protocol (notify slow paths when they exist). A
-            // write in a read-only body faults before reaching the
-            // device, so `wrote` alone implies a read-write transaction.
-            if wrote {
-                match fast_commit_clock_update(t, &rt) {
-                    Ok(()) => {}
-                    Err(code) => {
-                        t.stats.cycles += cost::HTM_ABORT;
-                        t.mem.rollback(heap, t.tid);
-                        return Err(FastFail::Htm(Some(code)));
-                    }
-                }
-            }
-            match t.htm_thread.commit() {
-                Ok(()) => {
-                    t.stats.cycles += cost::HTM_COMMIT;
-                    t.mem.commit(heap, t.tid);
-                    Ok(value)
-                }
-                Err(e) => {
-                    t.stats.cycles += cost::HTM_ABORT;
-                    t.mem.rollback(heap, t.tid);
-                    Err(FastFail::Htm(Some(e.code)))
-                }
-            }
-        }
-        Err(_) => {
-            let code = dead.expect("fast-path body restarted without an abort");
-            t.stats.cycles += cost::HTM_ABORT;
-            t.mem.rollback(heap, t.tid);
-            Err(FastFail::Htm(Some(code)))
-        }
-    }
-}
-
-/// Writer fast-path commit step: when slow paths exist, bump the clock (and
-/// honor the serial lock). Shared with RH NOrec, which runs the same step —
-/// but crucially only *here at commit*, not at start.
-pub(crate) fn fast_commit_clock_update(
-    t: &mut TmThread,
-    rt: &crate::runtime::TmRuntime,
-) -> Result<(), AbortCode> {
-    let g = rt.globals();
-    t.stats.cycles += 4 * cost::HTM_ACCESS;
-    let fallbacks = match t.htm_thread.read(g.num_of_fallbacks) {
-        Ok(v) => v,
-        Err(e) => return Err(e.code),
+    let fast = FastPath {
+        lock: Some(t.rt.globals().global_htm_lock),
+        clock_at_begin: true,
+        begin_cycles: cost::HTM_BEGIN + 2 * cost::HTM_ACCESS,
+        commit_clock_update: true,
     };
-    if fallbacks == 0 {
-        return Ok(());
+    if let Some(done) = run_fast(t, kind, body, fast) {
+        return done;
     }
-    match t.htm_thread.read(g.serial_lock) {
-        Ok(0) => {}
-        Ok(_) => return Err(t.htm_thread.abort(xabort::LOCK_HELD).code),
-        Err(e) => return Err(e.code),
-    }
-    // MUTANT (`missing_lane_bump`): writers homed on lane 0 skip the
-    // commit bump entirely — their commits never reach the lane vector, so
-    // software snapshots validate right past them.
-    #[cfg(feature = "mutants")]
-    if rt.mutant_armed(crate::mutants::Mutant::MissingLaneBump)
-        && g.clock.shards() > 1
-        && g.clock.home_lane(t.tid) == 0
-    {
-        return Ok(());
-    }
-    // Sharded, only the committer's home lane enters the tracking set, so
-    // disjoint fast-path writers stop aborting each other here.
-    g.clock.htm_commit_bump(&mut t.htm_thread, t.tid)?;
-    // Interleave pacing (same rationale as `Meter::tick`): on a host with
-    // fewer cores than workers, yield inside the window between the clock
-    // subscription and the hardware commit — on dedicated cores this is
-    // exactly where concurrent commit bumps collide, and without the yield
-    // the window never overlaps another thread's commit at all.
-    if rt.config().interleave_accesses != 0 {
-        std::thread::yield_now();
-    }
-    Ok(())
+    slow_path(t, kind, body, lazy)
 }
 
-/// The lazy software slow path (§3.1's "lazy HyTM design"): classic NOrec
-/// with write-set buffering; the HTM lock is raised only around the
-/// commit write-back, so fast paths never see a partial publication.
-fn slow_path_lazy<T>(
-    t: &mut TmThread,
-    kind: TxKind,
-    body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
-) -> Result<T, TxFault> {
-    let rt = t.rt.clone();
-    let heap: &Heap = rt.heap();
-    let globals = rt.globals_snapshot();
-    let restart_limit = rt.config().retry.slow_path_restart_limit;
-    let interleave = rt.config().interleave_accesses;
-
-    t.stats.slow_path_entries += 1;
-    t.stats.cycles += cost::GLOBAL_RMW;
-    heap.fetch_update(globals.num_of_fallbacks, |v| v + 1);
-    let mut restarts: u32 = 0;
-    let mut serial_held = false;
-    // Out-of-context snapshot slot (see `norec::run_lazy`).
-    let mut snap_slot = ClockSnapshot::single(0);
-
-    let value = loop {
-        if restarts > restart_limit && !serial_held {
-            acquire_word_lock(heap, globals.serial_lock, &mut t.stats.cycles, &mut t.backoff);
-            serial_held = true;
-            t.stats.serial_lock_acquisitions += 1;
-        }
-        trace::begin(trace::Path::Stm);
-        let mut spin = cost::STM_START;
-        globals
-            .clock
-            .begin_into(heap, &mut spin, &mut t.backoff, &mut snap_slot);
-        let (probe_addr, probe_word) = globals.clock.read_probe(&snap_slot);
-        // Recycled arenas: a restart re-logs into warm buffers.
-        t.logs.read_log.clear();
-        t.logs.write_set.clear();
-        let mut ctx = LazyCtx {
-            heap,
-            globals: &globals,
-            mem: &mut t.mem,
-            tid: t.tid,
-            snap: &mut snap_slot,
-            probe_addr,
-            probe_word,
-            read_log: &mut t.logs.read_log,
-            write_set: &mut t.logs.write_set,
-            backoff: &mut t.backoff,
-            dead: false,
-            set_htm_lock: true,
-            #[cfg(feature = "mutants")]
-            skip_reread: rt.mutant_armed(crate::mutants::Mutant::StaleSnapshotReuse),
-            meter: crate::algorithms::common::Meter::new(interleave),
-        };
-        ctx.meter.charge(spin);
-        let mut tx = Tx::new(TxCtx::Lazy(ctx), kind);
-        let outcome = body(&mut tx);
-        let (ctx, fault) = tx.into_parts();
-        let TxCtx::Lazy(mut ctx) = ctx else { unreachable!() };
-        if let Some(fault) = fault {
-            trace::abort();
-            t.stats.cycles += ctx.meter.cycles;
-            t.mem.rollback(heap, t.tid);
-            break Err(fault);
-        }
-        let committed = match outcome {
-            Ok(value) => ctx.commit().map(|()| value),
-            Err(e) => Err(e),
-        };
-        match committed {
-            Ok(value) => {
-                trace::commit(trace::Path::Stm);
-                t.stats.cycles += ctx.meter.cycles;
-                t.mem.commit(heap, t.tid);
-                t.stats.slow_path_commits += 1;
-                break Ok(value);
-            }
-            Err(_) => {
-                trace::abort();
-                t.stats.cycles += ctx.meter.cycles;
-                t.mem.rollback(heap, t.tid);
-                t.stats.slow_path_restarts += 1;
-                restarts += 1;
-            }
-        }
-    };
-    // Shared exit for commits and faults: withdraw the fallback
-    // announcement and release the serial lock if escalation reached it.
-    t.stats.cycles += cost::GLOBAL_RMW;
-    heap.fetch_update(globals.num_of_fallbacks, |v| v - 1);
-    if serial_held {
-        t.stats.cycles += cost::GLOBAL_STORE;
-        release_word_lock(heap, globals.serial_lock);
-    }
-    value
-}
-
-/// The software slow path: eager NOrec with hybrid coordination.
+/// The software slow path: NOrec's own attempts (eager, or the lazy
+/// §3.1 ablation that raises the HTM lock only around its commit
+/// write-back) with `set_htm_lock`, inside the fallback announcement
+/// fast-path writers watch, escalating to the serial lock after
+/// `slow_path_restart_limit` restarts.
 fn slow_path<T>(
-    t: &mut TmThread,
+    t: &mut Session,
     kind: TxKind,
     body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
+    lazy: bool,
 ) -> Result<T, TxFault> {
-    let rt = t.rt.clone();
-    let heap: &Heap = rt.heap();
-    let globals = rt.globals_snapshot();
+    let rt = Arc::clone(&t.rt);
+    let heap = rt.heap();
+    let mut stm = Stm::new(&rt, lazy, true);
+    let g = rt.globals();
     let restart_limit = rt.config().retry.slow_path_restart_limit;
 
-    let interleave = rt.config().interleave_accesses;
     t.stats.slow_path_entries += 1;
     t.stats.cycles += cost::GLOBAL_RMW;
-    heap.fetch_update(globals.num_of_fallbacks, |v| v + 1);
+    heap.fetch_update(g.num_of_fallbacks, |v| v + 1);
     let mut restarts: u32 = 0;
     let mut serial_held = false;
-    // Out-of-context snapshot slot (see `norec::run_eager`).
-    let mut snap_slot = ClockSnapshot::single(0);
-
     let value = loop {
         if restarts > restart_limit && !serial_held {
-            acquire_word_lock(heap, globals.serial_lock, &mut t.stats.cycles, &mut t.backoff);
+            acquire_word_lock(heap, g.serial_lock, &mut t.stats.cycles, &mut t.backoff);
             serial_held = true;
             t.stats.serial_lock_acquisitions += 1;
         }
-        trace::begin(trace::Path::Stm);
-        let mut spin = cost::STM_START;
-        globals
-            .clock
-            .begin_into(heap, &mut spin, &mut t.backoff, &mut snap_slot);
-        let (probe_addr, probe_word) = globals.clock.read_probe(&snap_slot);
-        let mut ctx = EagerCtx {
-            heap,
-            globals: &globals,
-            mem: &mut t.mem,
-            tid: t.tid,
-            snap: &mut snap_slot,
-            probe_addr,
-            probe_word,
-            wrote: false,
-            dead: false,
-            set_htm_lock: true,
-            htm_lock_set: false,
-            #[cfg(feature = "mutants")]
-            skip_validation: rt.mutant_armed(crate::mutants::Mutant::EagerSkipValidation),
-            meter: Meter::new(interleave),
-        };
-        ctx.meter.charge(spin);
-        let mut tx = Tx::new(TxCtx::Eager(ctx), kind);
-        let outcome = body(&mut tx);
-        let (ctx, fault) = tx.into_parts();
-        let TxCtx::Eager(mut ctx) = ctx else { unreachable!() };
-        if let Some(fault) = fault {
-            // The fault precedes the first write: the clock is unlocked
-            // and the HTM lock was never raised.
-            debug_assert!(!ctx.wrote);
-            trace::abort();
-            t.stats.cycles += ctx.meter.cycles;
-            t.mem.rollback(heap, t.tid);
-            break Err(fault);
-        }
-        match outcome {
-            Ok(value) => {
-                ctx.commit();
-                trace::commit(trace::Path::Stm);
-                t.stats.cycles += ctx.meter.cycles;
-                t.mem.commit(heap, t.tid);
-                t.stats.slow_path_commits += 1;
-                break Ok(value);
-            }
-            Err(_) => {
-                trace::abort();
-                t.stats.cycles += ctx.meter.cycles;
-                t.mem.rollback(heap, t.tid);
-                t.stats.slow_path_restarts += 1;
-                restarts += 1;
-            }
+        match stm.attempt(t, kind, body) {
+            Some(done) => break done,
+            None => restarts += 1,
         }
     };
     // Shared exit for commits and faults: withdraw the fallback
     // announcement and release the serial lock if escalation reached it.
     t.stats.cycles += cost::GLOBAL_RMW;
-    heap.fetch_update(globals.num_of_fallbacks, |v| v - 1);
+    heap.fetch_update(g.num_of_fallbacks, |v| v - 1);
     if serial_held {
         t.stats.cycles += cost::GLOBAL_STORE;
-        release_word_lock(heap, globals.serial_lock);
+        release_word_lock(heap, g.serial_lock);
     }
     value
 }

@@ -11,54 +11,37 @@
 //! figures show above 8 threads.
 
 use crate::algorithms::common::{
-    acquire_word_lock, classify_fast_abort, release_word_lock, xabort, DirectCtx, FastCtx,
-    FastFail, Meter,
+    acquire_word_lock, release_word_lock, run_fast, DirectCtx, FastPath, Meter,
 };
 use crate::cost;
 use crate::error::{TxFault, TxResult};
-use crate::runtime::TmThread;
+use crate::session::Session;
 use crate::trace;
 use crate::tx::{Tx, TxCtx};
 use crate::TxKind;
 
 pub(crate) fn run<T>(
-    t: &mut TmThread,
+    t: &mut Session,
     kind: TxKind,
     body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
 ) -> Result<T, TxFault> {
-    let retries = t.rt.config().retry.fast_path_retries;
-    let mut attempts = 0;
-    loop {
-        trace::begin(trace::Path::Fast);
-        match try_fast(t, kind, body) {
-            Ok(value) => {
-                trace::commit(trace::Path::Fast);
-                t.stats.fast_path_commits += 1;
-                return Ok(value);
-            }
-            Err(FastFail::Fault(fault)) => {
-                trace::abort();
-                return Err(fault);
-            }
-            Err(FastFail::Htm(code)) => {
-                trace::abort();
-                if let Some(code) = code {
-                    classify_fast_abort(&mut t.stats, code);
-                    attempts += 1;
-                    if code.may_retry() && attempts < retries {
-                        // Backoff before retrying in hardware so the
-                        // conflicting transaction can finish (what
-                        // production elision runtimes do between xbegin
-                        // attempts); otherwise retries re-collide and
-                        // convoy into the fallback.
-                        sim_htm::sched::yield_point();
-                        t.backoff.pause(attempts - 1, &mut t.stats.cycles);
-                        continue;
-                    }
-                }
-                break;
-            }
-        }
+    #[cfg(feature = "mutants")]
+    let subscribe = !t.rt.mutant_armed(crate::mutants::Mutant::ElisionNoSubscription);
+    #[cfg(not(feature = "mutants"))]
+    let subscribe = true;
+    let fast = FastPath {
+        // Subscribe to the global lock. Dropped when the
+        // `elision_no_subscription` corpus mutant is armed: without the
+        // lock in the tracking set, a serial-fallback writer's in-place
+        // stores no longer abort the speculation at its start, and the
+        // commit can land mid-serial-section on a mixed snapshot.
+        lock: subscribe.then_some(t.rt.globals().serial_lock),
+        clock_at_begin: false,
+        begin_cycles: cost::HTM_BEGIN + cost::HTM_ACCESS,
+        commit_clock_update: false,
+    };
+    if let Some(done) = run_fast(t, kind, body, fast) {
+        return done;
     }
 
     // Lock fallback: serialize.
@@ -96,89 +79,4 @@ pub(crate) fn run<T>(
     t.mem.commit(heap, t.tid);
     t.stats.serial_commits += 1;
     Ok(value)
-}
-
-/// One hardware attempt. `Err(Htm(None))` means the attempt could not begin.
-fn try_fast<T>(
-    t: &mut TmThread,
-    kind: TxKind,
-    body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
-) -> Result<T, FastFail> {
-    let rt = t.rt.clone();
-    let heap = rt.heap();
-    let lock = rt.globals().serial_lock;
-
-    if t.htm_thread.begin().is_err() {
-        return Err(FastFail::Htm(None));
-    }
-    t.stats.cycles += cost::HTM_BEGIN + cost::HTM_ACCESS;
-    #[cfg(feature = "mutants")]
-    let subscribe = !rt.mutant_armed(crate::mutants::Mutant::ElisionNoSubscription);
-    #[cfg(not(feature = "mutants"))]
-    let subscribe = true;
-    // Subscribe to the global lock. Skipped when the
-    // `elision_no_subscription` corpus mutant is armed: without the lock in
-    // the tracking set, a serial-fallback writer's in-place stores no
-    // longer abort this speculation at its start, and the commit can land
-    // mid-serial-section on a mixed snapshot.
-    if subscribe {
-        match t.htm_thread.read(lock) {
-            Ok(0) => {}
-            Ok(_) => {
-                t.stats.cycles += cost::HTM_ABORT;
-                return Err(FastFail::Htm(Some(t.htm_thread.abort(xabort::LOCK_HELD).code)));
-            }
-            Err(e) => {
-                t.stats.cycles += cost::HTM_ABORT;
-                return Err(FastFail::Htm(Some(e.code)));
-            }
-        }
-    }
-
-    let interleave = t.rt.config().interleave_accesses;
-    let ctx = FastCtx::new(&mut t.htm_thread, heap, &mut t.mem, t.tid, interleave);
-    let mut tx = Tx::new(TxCtx::Fast(ctx), kind);
-    let outcome = body(&mut tx);
-    let (ctx, fault) = tx.into_parts();
-    let TxCtx::Fast(ctx) = ctx else { unreachable!() };
-    let dead = ctx.dead;
-    t.stats.cycles += ctx.meter.cycles;
-    if let Some(fault) = fault {
-        // The refused write never reached the device; discard the live
-        // speculation (if the hardware hadn't already aborted) and report
-        // the programming error.
-        if dead.is_none() {
-            t.htm_thread.abort(xabort::FAULT);
-        }
-        t.stats.cycles += cost::HTM_ABORT;
-        t.mem.rollback(heap, t.tid);
-        return Err(FastFail::Fault(fault));
-    }
-    match outcome {
-        Ok(value) => match dead {
-            Some(code) => {
-                t.stats.cycles += cost::HTM_ABORT;
-                t.mem.rollback(heap, t.tid);
-                Err(FastFail::Htm(Some(code)))
-            }
-            None => match t.htm_thread.commit() {
-                Ok(()) => {
-                    t.stats.cycles += cost::HTM_COMMIT;
-                    t.mem.commit(heap, t.tid);
-                    Ok(value)
-                }
-                Err(e) => {
-                    t.stats.cycles += cost::HTM_ABORT;
-                    t.mem.rollback(heap, t.tid);
-                    Err(FastFail::Htm(Some(e.code)))
-                }
-            },
-        },
-        Err(_) => {
-            let code = dead.expect("fast-path body restarted without an abort");
-            t.stats.cycles += cost::HTM_ABORT;
-            t.mem.rollback(heap, t.tid);
-            Err(FastFail::Htm(Some(code)))
-        }
-    }
 }

@@ -10,9 +10,11 @@
 //!   read-set revalidation instead of restarts, and a write set that is
 //!   published at commit under the clock lock.
 //!
-//! Both are also the software halves of the hybrid algorithms; the hybrid
-//! modules add their own coordination on top rather than reusing these
-//! entry points, keeping each algorithm readable on its own.
+//! Hybrid NOrec's slow path runs these very attempts ([`Stm`]) with
+//! `set_htm_lock`, wrapped in its fallback announcement and serial-lock
+//! escalation.
+
+use std::sync::Arc;
 
 use sim_mem::{Addr, Heap};
 
@@ -21,86 +23,171 @@ use crate::clock_shard::ClockSnapshot;
 use crate::cost;
 use crate::error::{TxFault, TxResult, RESTART};
 use crate::globals::Globals;
-use crate::runtime::TmThread;
+use crate::runtime::TmRuntime;
+use crate::session::Session;
 use crate::trace;
 use crate::tx::{Tx, TxCtx, TxMem, TxOps};
 use crate::txlog::{Backoff, LogVec, WriteSet};
 use crate::TxKind;
 
-pub(crate) fn run_eager<T>(
-    t: &mut TmThread,
+/// Standalone NOrec: software attempts until one commits or faults.
+pub(crate) fn run<T>(
+    t: &mut Session,
     kind: TxKind,
     body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
+    lazy: bool,
 ) -> Result<T, TxFault> {
-    let rt = t.rt.clone();
-    let heap: &Heap = rt.heap();
-    let globals = rt.globals_snapshot();
-    let interleave = rt.config().interleave_accesses;
+    let rt = Arc::clone(&t.rt);
+    let mut stm = Stm::new(&rt, lazy, false);
     t.stats.slow_path_entries += 1;
-    // The snapshot lives outside the per-attempt context so the context
-    // (and with it the `TxCtx` enum moved through `Tx`) stays small, and a
-    // restart refreshes only the live lanes in place.
-    let mut snap_slot = ClockSnapshot::single(0);
     loop {
+        if let Some(done) = stm.attempt(t, kind, body) {
+            return done;
+        }
+    }
+}
+
+/// One transaction's NOrec software state across its attempts: the
+/// state standalone NOrec and Hybrid NOrec's slow path share.
+pub(crate) struct Stm<'a> {
+    heap: &'a Heap,
+    globals: Globals,
+    interleave: u32,
+    /// Lazy (value-logged reads, buffered writes) rather than eager.
+    lazy: bool,
+    /// The clock snapshot lives here, outside the per-attempt context, so
+    /// the context (and with it the `TxCtx` enum moved through `Tx`)
+    /// stays small, and a restart refreshes only the live lanes in place.
+    snap: ClockSnapshot,
+    /// Raise `global_htm_lock` around the write phase (Hybrid NOrec):
+    /// hardware fast paths must never see a partial publication.
+    set_htm_lock: bool,
+}
+
+impl<'a> Stm<'a> {
+    pub(crate) fn new(rt: &'a TmRuntime, lazy: bool, set_htm_lock: bool) -> Self {
+        Stm {
+            heap: rt.heap(),
+            globals: rt.globals_snapshot(),
+            interleave: rt.config().interleave_accesses,
+            lazy,
+            snap: ClockSnapshot::single(0),
+            set_htm_lock,
+        }
+    }
+
+    /// One software attempt, eager or lazy. `Some` when it committed or
+    /// the body faulted; `None` when it restarted (already counted).
+    pub(crate) fn attempt<T>(
+        &mut self,
+        t: &mut Session,
+        kind: TxKind,
+        body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
+    ) -> Option<Result<T, TxFault>> {
         trace::begin(trace::Path::Stm);
+        let heap = self.heap;
         let mut spin = cost::STM_START;
-        globals
+        self.globals
             .clock
-            .begin_into(heap, &mut spin, &mut t.backoff, &mut snap_slot);
-        let (probe_addr, probe_word) = globals.clock.read_probe(&snap_slot);
-        let mut ctx = EagerCtx {
-            heap,
-            globals: &globals,
-            mem: &mut t.mem,
-            tid: t.tid,
-            snap: &mut snap_slot,
-            probe_addr,
-            probe_word,
-            wrote: false,
-            dead: false,
-            set_htm_lock: false,
-            htm_lock_set: false,
-            #[cfg(feature = "mutants")]
-            skip_validation: rt.mutant_armed(crate::mutants::Mutant::EagerSkipValidation),
-            meter: Meter::new(interleave),
+            .begin_into(heap, &mut spin, &mut t.backoff, &mut self.snap);
+        let (probe_addr, probe_word) = self.globals.clock.read_probe(&self.snap);
+        let (outcome, fault, cycles) = if self.lazy {
+            // Recycled arenas: clearing keeps their allocations warm, so a
+            // retry (or the next transaction) logs into already-sized
+            // buffers.
+            t.logs.read_log.clear();
+            t.logs.write_set.clear();
+            let mut ctx = LazyCtx {
+                heap,
+                globals: &self.globals,
+                mem: &mut t.mem,
+                tid: t.tid,
+                snap: &mut self.snap,
+                probe_addr,
+                probe_word,
+                read_log: &mut t.logs.read_log,
+                write_set: &mut t.logs.write_set,
+                backoff: &mut t.backoff,
+                dead: false,
+                set_htm_lock: self.set_htm_lock,
+                #[cfg(feature = "mutants")]
+                skip_reread: t.rt.mutant_armed(crate::mutants::Mutant::StaleSnapshotReuse),
+                meter: Meter::new(self.interleave),
+            };
+            ctx.meter.charge(spin);
+            let mut tx = Tx::new(TxCtx::Lazy(ctx), kind);
+            let outcome = body(&mut tx);
+            let (ctx, fault) = tx.into_parts();
+            let TxCtx::Lazy(mut ctx) = ctx else { unreachable!() };
+            // Writes are buffered and a refused one was never logged:
+            // discarding the context is the whole fault teardown.
+            debug_assert!(fault.is_none() || ctx.write_set.is_empty());
+            let outcome = match (fault, outcome) {
+                (None, Ok(value)) => ctx.commit().map(|()| value),
+                (_, outcome) => outcome,
+            };
+            (outcome, fault, ctx.meter.cycles)
+        } else {
+            let mut ctx = EagerCtx {
+                heap,
+                globals: &self.globals,
+                mem: &mut t.mem,
+                tid: t.tid,
+                snap: &mut self.snap,
+                probe_addr,
+                probe_word,
+                wrote: false,
+                dead: false,
+                set_htm_lock: self.set_htm_lock,
+                htm_lock_set: false,
+                #[cfg(feature = "mutants")]
+                skip_validation: t.rt.mutant_armed(crate::mutants::Mutant::EagerSkipValidation),
+                meter: Meter::new(self.interleave),
+            };
+            ctx.meter.charge(spin);
+            let mut tx = Tx::new(TxCtx::Eager(ctx), kind);
+            let outcome = body(&mut tx);
+            let (ctx, fault) = tx.into_parts();
+            let TxCtx::Eager(mut ctx) = ctx else { unreachable!() };
+            // A fault precedes the first write, so the clock is not
+            // locked, the HTM lock was never raised and no store has
+            // landed: nothing to undo but TxMem.
+            debug_assert!(fault.is_none() || !ctx.wrote);
+            match (fault, &outcome) {
+                (None, Ok(_)) => ctx.commit(),
+                (None, Err(_)) => {
+                    debug_assert!(ctx.dead, "body restarted without a validation failure")
+                }
+                (Some(_), _) => {}
+            }
+            (outcome, fault, ctx.meter.cycles)
         };
-        ctx.meter.charge(spin);
-        let mut tx = Tx::new(TxCtx::Eager(ctx), kind);
-        let outcome = body(&mut tx);
-        let (ctx, fault) = tx.into_parts();
-        let TxCtx::Eager(mut ctx) = ctx else { unreachable!() };
+        t.stats.cycles += cycles;
         if let Some(fault) = fault {
-            // The fault precedes the first write, so the clock is not
-            // locked and no store has landed: nothing to undo but TxMem.
-            debug_assert!(!ctx.wrote);
             trace::abort();
-            t.stats.cycles += ctx.meter.cycles;
             t.mem.rollback(heap, t.tid);
-            return Err(fault);
+            return Some(Err(fault));
         }
         match outcome {
             Ok(value) => {
-                ctx.commit();
                 trace::commit(trace::Path::Stm);
-                t.stats.cycles += ctx.meter.cycles;
                 t.mem.commit(heap, t.tid);
                 t.stats.slow_path_commits += 1;
-                return Ok(value);
+                Some(Ok(value))
             }
             Err(_) => {
-                debug_assert!(ctx.dead, "body restarted without a validation failure");
                 trace::abort();
-                t.stats.cycles += ctx.meter.cycles;
                 t.mem.rollback(heap, t.tid);
                 t.stats.slow_path_restarts += 1;
+                None
             }
         }
     }
 }
 
-/// The eager NOrec transaction context. Shared with the hybrid slow paths
-/// via the `set_htm_lock` flag (Hybrid NOrec raises the global HTM lock at
-/// the first write; standalone NOrec has no hardware to notify).
+/// The eager NOrec transaction context. `set_htm_lock` makes it Hybrid
+/// NOrec's slow path (the global HTM lock is raised at the first write;
+/// standalone NOrec has no hardware to notify).
 pub(crate) struct EagerCtx<'a> {
     pub(crate) heap: &'a Heap,
     pub(crate) globals: &'a Globals,
@@ -246,90 +333,10 @@ impl TxOps for EagerCtx<'_> {
     }
 }
 
-pub(crate) fn run_lazy<T>(
-    t: &mut TmThread,
-    kind: TxKind,
-    body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
-) -> Result<T, TxFault> {
-    let rt = t.rt.clone();
-    let heap: &Heap = rt.heap();
-    let globals = rt.globals_snapshot();
-    let interleave = rt.config().interleave_accesses;
-    t.stats.slow_path_entries += 1;
-    // The snapshot lives outside the per-attempt context so the context
-    // (and with it the `TxCtx` enum moved through `Tx`) stays small, and a
-    // restart refreshes only the live lanes in place.
-    let mut snap_slot = ClockSnapshot::single(0);
-    loop {
-        trace::begin(trace::Path::Stm);
-        let mut spin = cost::STM_START;
-        globals
-            .clock
-            .begin_into(heap, &mut spin, &mut t.backoff, &mut snap_slot);
-        let (probe_addr, probe_word) = globals.clock.read_probe(&snap_slot);
-        // Recycled arenas: clearing keeps their allocations warm, so a
-        // retry (or the next transaction) logs into already-sized buffers.
-        t.logs.read_log.clear();
-        t.logs.write_set.clear();
-        let mut ctx = LazyCtx {
-            heap,
-            globals: &globals,
-            mem: &mut t.mem,
-            tid: t.tid,
-            snap: &mut snap_slot,
-            probe_addr,
-            probe_word,
-            read_log: &mut t.logs.read_log,
-            write_set: &mut t.logs.write_set,
-            backoff: &mut t.backoff,
-            dead: false,
-            set_htm_lock: false,
-            #[cfg(feature = "mutants")]
-            skip_reread: rt.mutant_armed(crate::mutants::Mutant::StaleSnapshotReuse),
-            meter: Meter::new(interleave),
-        };
-        ctx.meter.charge(spin);
-        let mut tx = Tx::new(TxCtx::Lazy(ctx), kind);
-        let outcome = body(&mut tx);
-        let (ctx, fault) = tx.into_parts();
-        let TxCtx::Lazy(mut ctx) = ctx else { unreachable!() };
-        if let Some(fault) = fault {
-            // Writes are buffered and the refused one was never logged;
-            // discarding the context is the whole teardown.
-            debug_assert!(ctx.write_set.is_empty());
-            trace::abort();
-            t.stats.cycles += ctx.meter.cycles;
-            t.mem.rollback(heap, t.tid);
-            return Err(fault);
-        }
-        match outcome {
-            Ok(value) => {
-                if ctx.commit().is_ok() {
-                    trace::commit(trace::Path::Stm);
-                    t.stats.cycles += ctx.meter.cycles;
-                    t.mem.commit(heap, t.tid);
-                    t.stats.slow_path_commits += 1;
-                    return Ok(value);
-                }
-                trace::abort();
-                t.stats.cycles += ctx.meter.cycles;
-                t.mem.rollback(heap, t.tid);
-                t.stats.slow_path_restarts += 1;
-            }
-            Err(_) => {
-                trace::abort();
-                t.stats.cycles += ctx.meter.cycles;
-                t.mem.rollback(heap, t.tid);
-                t.stats.slow_path_restarts += 1;
-            }
-        }
-    }
-}
-
 /// The classic lazy NOrec context: value-logged reads, buffered writes.
 ///
-/// Both logs are borrowed from the thread's recycled arenas (cleared by
-/// the caller before each attempt), so a retry allocates nothing. The
+/// Both logs are borrowed from the session's recycled arenas (cleared by
+/// [`Stm::attempt`] before each attempt), so a retry allocates nothing. The
 /// write-set coalesces repeated writes to one address and answers
 /// read-after-write in O(1); commit writes back one store per distinct
 /// address.

@@ -27,150 +27,37 @@
 use sim_htm::AbortCode;
 use sim_mem::{Addr, Heap};
 
-use crate::algorithms::common::{
-    acquire_word_lock, classify_fast_abort, release_word_lock, xabort, FastFail,
-};
-use crate::algorithms::hybrid_norec::fast_commit_clock_update;
+use crate::algorithms::common::{acquire_word_lock, release_word_lock, run_fast, xabort, FastPath};
 use crate::clock_shard::ClockSnapshot;
 use crate::cost;
 use crate::error::{TxFault, TxResult, RESTART};
 use crate::globals::Globals;
-use crate::runtime::TmThread;
+use crate::session::Session;
 use crate::stats::TmThreadStats;
 use crate::trace;
 use crate::tx::{Tx, TxCtx, TxMem, TxOps};
 use crate::{PrefixConfig, TxKind};
 
 pub(crate) fn run<T>(
-    t: &mut TmThread,
+    t: &mut Session,
     kind: TxKind,
     body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
     with_prefix: bool,
 ) -> Result<T, TxFault> {
-    let retries = t.rt.config().retry.fast_path_retries;
-    let mut attempts = 0;
-    loop {
-        trace::begin(trace::Path::Fast);
-        match try_fast(t, kind, body) {
-            Ok(value) => {
-                trace::commit(trace::Path::Fast);
-                t.stats.fast_path_commits += 1;
-                return Ok(value);
-            }
-            Err(FastFail::Fault(fault)) => {
-                trace::abort();
-                return Err(fault);
-            }
-            Err(FastFail::Htm(code)) => {
-                trace::abort();
-                if let Some(code) = code {
-                    classify_fast_abort(&mut t.stats, code);
-                    attempts += 1;
-                    if code.may_retry() && attempts < retries {
-                        // Backoff before retrying in hardware so the
-                        // conflicting transaction can finish (what
-                        // production elision runtimes do between xbegin
-                        // attempts); otherwise retries re-collide and
-                        // convoy into the fallback.
-                        sim_htm::sched::yield_point();
-                        t.backoff.pause(attempts - 1, &mut t.stats.cycles);
-                        continue;
-                    }
-                }
-                break;
-            }
-        }
+    // The RH NOrec fast path (Algorithm 1): subscribe only to
+    // `global_htm_lock`; the clock enters the tracking set only for the
+    // handful of instructions before a writer's commit — the scalability
+    // win over Hybrid NOrec.
+    let fast = FastPath {
+        lock: Some(t.rt.globals().global_htm_lock),
+        clock_at_begin: false,
+        begin_cycles: cost::HTM_BEGIN + cost::HTM_ACCESS,
+        commit_clock_update: true,
+    };
+    if let Some(done) = run_fast(t, kind, body, fast) {
+        return done;
     }
     mixed_slow_path(t, kind, body, with_prefix)
-}
-
-/// The RH NOrec hardware fast path (Algorithm 1): subscribe only to
-/// `global_htm_lock`; touch the clock at commit, not at start.
-fn try_fast<T>(
-    t: &mut TmThread,
-    kind: TxKind,
-    body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
-) -> Result<T, FastFail> {
-    let rt = t.rt.clone();
-    let heap: &Heap = rt.heap();
-    let g = rt.globals();
-
-    if t.htm_thread.begin().is_err() {
-        return Err(FastFail::Htm(None));
-    }
-    t.stats.cycles += cost::HTM_BEGIN + cost::HTM_ACCESS;
-    match t.htm_thread.read(g.global_htm_lock) {
-        Ok(0) => {}
-        Ok(_) => {
-            t.stats.cycles += cost::HTM_ABORT;
-            return Err(FastFail::Htm(Some(t.htm_thread.abort(xabort::LOCK_HELD).code)));
-        }
-        Err(e) => {
-            t.stats.cycles += cost::HTM_ABORT;
-            return Err(FastFail::Htm(Some(e.code)));
-        }
-    }
-
-    let interleave = t.rt.config().interleave_accesses;
-    let ctx = crate::algorithms::common::FastCtx::new(
-        &mut t.htm_thread,
-        heap,
-        &mut t.mem,
-        t.tid,
-        interleave,
-    );
-    let mut tx = Tx::new(TxCtx::Fast(ctx), kind);
-    let outcome = body(&mut tx);
-    let (ctx, fault) = tx.into_parts();
-    let TxCtx::Fast(ctx) = ctx else { unreachable!() };
-    let wrote = ctx.wrote;
-    let dead = ctx.dead;
-    t.stats.cycles += ctx.meter.cycles;
-
-    if let Some(fault) = fault {
-        if dead.is_none() {
-            t.htm_thread.abort(xabort::FAULT);
-        }
-        t.stats.cycles += cost::HTM_ABORT;
-        t.mem.rollback(heap, t.tid);
-        return Err(FastFail::Fault(fault));
-    }
-    match outcome {
-        Ok(value) => {
-            if let Some(code) = dead {
-                t.stats.cycles += cost::HTM_ABORT;
-                t.mem.rollback(heap, t.tid);
-                return Err(FastFail::Htm(Some(code)));
-            }
-            if wrote {
-                // The scalability win: the clock enters the tracking set
-                // only for this handful of instructions before commit.
-                if let Err(code) = fast_commit_clock_update(t, &rt) {
-                    t.stats.cycles += cost::HTM_ABORT;
-                    t.mem.rollback(heap, t.tid);
-                    return Err(FastFail::Htm(Some(code)));
-                }
-            }
-            match t.htm_thread.commit() {
-                Ok(()) => {
-                    t.stats.cycles += cost::HTM_COMMIT;
-                    t.mem.commit(heap, t.tid);
-                    Ok(value)
-                }
-                Err(e) => {
-                    t.stats.cycles += cost::HTM_ABORT;
-                    t.mem.rollback(heap, t.tid);
-                    Err(FastFail::Htm(Some(e.code)))
-                }
-            }
-        }
-        Err(_) => {
-            let code = dead.expect("fast-path body restarted without an abort");
-            t.stats.cycles += cost::HTM_ABORT;
-            t.mem.rollback(heap, t.tid);
-            Err(FastFail::Htm(Some(code)))
-        }
-    }
 }
 
 /// Which execution regime the mixed slow path is currently in.
@@ -188,7 +75,7 @@ enum Mode {
 }
 
 fn mixed_slow_path<T>(
-    t: &mut TmThread,
+    t: &mut Session,
     kind: TxKind,
     body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
     with_prefix: bool,
@@ -212,7 +99,7 @@ fn mixed_slow_path<T>(
     let mut allow_postfix = true;
     let mut prefix_deaths = 0u32;
     let mut postfix_deaths = 0u32;
-    // Out-of-context snapshot slot (see `norec::run_eager`): keeps the
+    // Out-of-context snapshot slot (see `norec::Stm`): keeps the
     // cache-line-wide lane vector out of the `TxCtx` enum's moves.
     let mut snap_slot = ClockSnapshot::single(0);
 

@@ -14,7 +14,7 @@ use sim_mem::{Addr, Heap, LineId};
 use crate::algorithms::common::Meter;
 use crate::cost;
 use crate::error::{TxFault, TxResult, RESTART};
-use crate::runtime::TmThread;
+use crate::session::Session;
 use crate::trace;
 use crate::tx::{Tx, TxCtx, TxMem, TxOps};
 use crate::txlog::{Backoff, LogMap, LogVec};
@@ -78,7 +78,7 @@ fn version(meta: u64) -> u64 {
 }
 
 pub(crate) fn run<T>(
-    t: &mut TmThread,
+    t: &mut Session,
     kind: TxKind,
     body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
 ) -> Result<T, TxFault> {

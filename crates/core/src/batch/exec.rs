@@ -396,19 +396,15 @@ impl ParallelExecutor {
         }
     }
 
-    /// Executes `batch` and commits its effects to the heap. With one
+    /// Executes `batch` as a *chain* of blocks sharing one rank space and
+    /// commits its effects to the heap: `boundaries` are ascending
+    /// end-exclusive rank ends (the last equal to `batch.len()`; a single
+    /// block passes `&[batch.len()]`). All blocks run under one scheduler
+    /// and one speculation window, so block `N + 1`'s speculation starts
+    /// while block `N`'s validation wave is still draining — the
+    /// cross-block handoff the dynamic batch former relies on. With one
     /// worker this takes the no-speculation fast path; otherwise workers
     /// run on scoped OS threads.
-    pub fn execute<T: BatchTxn>(&self, batch: &[T]) -> BatchReport {
-        self.execute_chained(batch, &[batch.len()]).0
-    }
-
-    /// Executes a *chain* of blocks sharing one rank space: `boundaries`
-    /// are ascending end-exclusive rank ends (the last equal to
-    /// `batch.len()`). All blocks run under one scheduler and one
-    /// speculation window, so block `N + 1`'s speculation starts while
-    /// block `N`'s validation wave is still draining — the cross-block
-    /// handoff the dynamic batch former relies on.
     ///
     /// Besides the report, returns each block's modeled *elapsed* cycles
     /// from chain start to that block's completion (monotone): the
@@ -416,7 +412,7 @@ impl ParallelExecutor {
     /// prefix-maxed and normalized by the worker count. The commit sweep
     /// ([`BatchReport::commit_cycles`]) runs once after the last block
     /// and is not included.
-    pub fn execute_chained<T: BatchTxn>(
+    pub fn execute<T: BatchTxn>(
         &self,
         batch: &[T],
         boundaries: &[usize],
@@ -440,9 +436,10 @@ impl ParallelExecutor {
 
     /// [`ParallelExecutor::execute`] with the workers driven as virtual
     /// threads of the deterministic cooperative scheduler: the whole
-    /// speculative interleaving — and therefore every abort, estimate
-    /// stall, and re-execution — is a pure function of `sched_config`.
-    /// The committed state is the same as any other interleaving's.
+    /// speculative interleaving — which ranks of block `N + 1` speculate
+    /// while block `N` validates, every abort, estimate stall and
+    /// re-execution — is a pure function of `sched_config`. The committed
+    /// state is the same as any other interleaving's.
     ///
     /// Also returns the run's scheduler decision log, so checker
     /// harnesses can replay and shrink a failing interleaving. The
@@ -450,22 +447,6 @@ impl ParallelExecutor {
     /// an empty log.
     #[cfg(feature = "deterministic")]
     pub fn execute_controlled<T: BatchTxn>(
-        &self,
-        batch: &[T],
-        sched_config: &sim_htm::sched::SchedConfig,
-    ) -> (BatchReport, sim_htm::sched::RunResult) {
-        let (report, _elapsed, run) =
-            self.execute_chained_controlled(batch, &[batch.len()], sched_config);
-        (report, run)
-    }
-
-    /// [`ParallelExecutor::execute_chained`] under the deterministic
-    /// cooperative scheduler: the cross-block interleaving — which ranks
-    /// of block `N + 1` speculate while block `N` validates, and every
-    /// abort that crosses a boundary — is a pure function of
-    /// `sched_config`.
-    #[cfg(feature = "deterministic")]
-    pub fn execute_chained_controlled<T: BatchTxn>(
         &self,
         batch: &[T],
         boundaries: &[usize],
@@ -825,7 +806,7 @@ mod tests {
         let heap = Arc::new(Heap::new(HeapConfig::default()));
         let (slot, batch) = hot_batch(&heap, 16);
         let exec = ParallelExecutor::new(Arc::clone(&heap), BatchConfig::default()).unwrap();
-        let report = exec.execute(&batch);
+        let (report, _) = exec.execute(&batch, &[batch.len()]);
         assert!(!report.speculative());
         assert_eq!(report.txs(), 16);
         assert_eq!(report.aborts(), 0);
@@ -840,7 +821,7 @@ mod tests {
         let (slot, batch) = hot_batch(&heap, 48);
         let exec =
             ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(4)).unwrap();
-        let report = exec.execute(&batch);
+        let (report, _) = exec.execute(&batch, &[batch.len()]);
         assert!(report.speculative());
         assert_eq!(heap.load(slot), 48);
         // Every rank reads the value its predecessor wrote: the mirrors
@@ -869,7 +850,7 @@ mod tests {
         let batch: Vec<Set> = (0..32).map(|i| Set(slots.offset(i))).collect();
         let exec =
             ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(4)).unwrap();
-        let report = exec.execute(&batch);
+        let (report, _) = exec.execute(&batch, &[batch.len()]);
         assert_eq!(report.aborts(), 0);
         assert_eq!(report.max_incarnation(), 0);
         assert_eq!(report.executions(), 32);
@@ -886,7 +867,7 @@ mod tests {
             let exec =
                 ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(workers))
                     .unwrap();
-            let (report, elapsed) = exec.execute_chained(&batch, &[8, 16, 24]);
+            let (report, elapsed) = exec.execute(&batch, &[8, 16, 24]);
             assert_eq!(report.txs(), 24);
             assert_eq!(heap.load(slot), 24, "workers {workers}");
             for (rank, tx) in batch.iter().enumerate() {
@@ -907,7 +888,7 @@ mod tests {
             let (slot, batch) = hot_batch(&heap, 18);
             let exec =
                 ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(3)).unwrap();
-            let (report, elapsed, _run) = exec.execute_chained_controlled(
+            let (report, elapsed, _run) = exec.execute_controlled(
                 &batch,
                 &[6, 12, 18],
                 &SchedConfig::from_seed(seed),
@@ -930,7 +911,8 @@ mod tests {
             let (slot, batch) = hot_batch(&heap, 12);
             let exec =
                 ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(3)).unwrap();
-            let (report, _run) = exec.execute_controlled(&batch, &SchedConfig::from_seed(seed));
+            let (report, _, _) =
+                exec.execute_controlled(&batch, &[batch.len()], &SchedConfig::from_seed(seed));
             assert_eq!(heap.load(slot), 12);
             (report.executions(), report.aborts(), report.blocked(), report.makespan_cycles())
         };

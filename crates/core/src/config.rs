@@ -573,8 +573,8 @@ pub enum TxKind {
     /// Writing inside a `ReadOnly` transaction is a programming error: the
     /// engine refuses the write, tears the attempt down, and surfaces
     /// [`TxFault::WriteInReadOnly`](crate::TxFault::WriteInReadOnly) from
-    /// [`TmThread::try_execute`](crate::TmThread::try_execute) (the
-    /// panicking [`execute`](crate::TmThread::execute) wrapper panics).
+    /// [`Session::run_read`](crate::Session::run_read) (the
+    /// panicking [`Session::execute`](crate::Session::execute) panics).
     /// See [`Tx::write`](crate::Tx::write) for the full contract.
     ReadOnly,
 }

@@ -32,7 +32,8 @@ pub(crate) const RESTART: TxRestart = TxRestart(());
 /// amount of retrying can commit it. The engine tears the attempt down
 /// cleanly (discarding speculation, releasing any protocol locks and
 /// fallback announcements) and surfaces the fault from
-/// [`TmThread::try_execute`](crate::TmThread::try_execute).
+/// [`Session::run`](crate::Session::run) /
+/// [`Session::run_read`](crate::Session::run_read).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TxFault {
@@ -56,7 +57,8 @@ impl fmt::Display for TxFault {
 
 impl Error for TxFault {}
 
-/// Error constructing or registering with a [`TmRuntime`](crate::TmRuntime).
+/// Error constructing a [`TmRuntime`](crate::TmRuntime) or opening a
+/// session on one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TmError {
@@ -64,18 +66,13 @@ pub enum TmError {
     /// is not attached to the runtime's heap: hardware and software
     /// transactions would run against different memories.
     HeapMismatch,
-    /// The requested thread id exceeds the simulated machine's thread
-    /// capacity.
+    /// Every thread id of the simulated machine already has a live
+    /// [`Session`](crate::Session).
     ThreadIdOutOfRange {
-        /// The offending thread id.
+        /// The first id past the machine (equal to `max`).
         tid: usize,
         /// Exclusive upper bound (`sim_mem::MAX_THREADS`).
         max: usize,
-    },
-    /// The requested thread id already has a live handle.
-    ThreadAlreadyRegistered {
-        /// The offending thread id.
-        tid: usize,
     },
     /// A configuration builder rejected a nonsensical combination (see
     /// [`TmConfigBuilder::build`](crate::TmConfigBuilder::build)).
@@ -91,11 +88,8 @@ impl fmt::Display for TmError {
             TmError::HeapMismatch => {
                 f.write_str("the HTM device must be attached to the runtime's heap")
             }
-            TmError::ThreadIdOutOfRange { tid, max } => {
-                write!(f, "thread id {tid} exceeds MAX_THREADS ({max})")
-            }
-            TmError::ThreadAlreadyRegistered { tid } => {
-                write!(f, "thread id {tid} registered twice")
+            TmError::ThreadIdOutOfRange { max, .. } => {
+                write!(f, "every thread id below MAX_THREADS ({max}) has a live session")
             }
             TmError::InvalidConfig { reason } => {
                 write!(f, "invalid TM configuration: {reason}")
@@ -119,8 +113,8 @@ mod tests {
     fn fault_and_tm_error_display() {
         assert!(TxFault::WriteInReadOnly.to_string().contains("read-only"));
         assert!(TmError::HeapMismatch.to_string().contains("heap"));
-        assert!(TmError::ThreadAlreadyRegistered { tid: 3 }
+        assert!(TmError::ThreadIdOutOfRange { tid: 64, max: 64 }
             .to_string()
-            .contains("registered twice"));
+            .contains("MAX_THREADS"));
     }
 }

@@ -12,9 +12,9 @@
 //! * [`Algorithm::RhNorec`] — the paper's contribution, with its adaptive
 //!   HTM prefix and HTM postfix (plus a postfix-only ablation).
 //!
-//! All algorithms present one interface: build a [`TmRuntime`], register a
-//! [`TmThread`] per worker, and run closures with
-//! [`TmThread::execute`]. Every algorithm provides opacity and
+//! All algorithms present one interface: build a [`TmRuntime`], open a
+//! [`Session`] per worker with [`TmRuntime::open_session`], and run
+//! closures with [`Session::run`]. Every algorithm provides opacity and
 //! privatization — the same semantics as pure hardware transactions —
 //! which is the point of the paper.
 //!
@@ -24,19 +24,19 @@
 //! use std::sync::Arc;
 //! use sim_mem::{Heap, HeapConfig};
 //! use sim_htm::{Htm, HtmConfig};
-//! use rh_norec::{Algorithm, TmConfig, TmRuntime, TxKind};
+//! use rh_norec::{Algorithm, TmConfig, TmRuntime};
 //!
 //! let heap = Arc::new(Heap::new(HeapConfig::default()));
 //! let htm = Htm::new(Arc::clone(&heap), HtmConfig::default());
 //! let rt = TmRuntime::new(Arc::clone(&heap), htm, TmConfig::new(Algorithm::RhNorec))?;
 //!
 //! let account = heap.allocator().alloc(0, 1)?;
-//! let mut worker = rt.register(0)?;
-//! let old = worker.execute(TxKind::ReadWrite, |tx| {
+//! let mut worker = rt.open_session()?;
+//! let old = worker.run(|tx| {
 //!     let v = tx.read(account)?;
 //!     tx.write(account, v + 100)?;
 //!     Ok(v)
-//! });
+//! })?;
 //! assert_eq!(old, 0);
 //! assert_eq!(heap.load(account), 100);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -82,7 +82,7 @@ pub use config::{
 pub use error::{TmError, TxFault, TxResult, TxRestart};
 pub use globals::{clock, Globals};
 pub use policy::PolicyConfig;
-pub use runtime::{TmRuntime, TmThread};
+pub use runtime::TmRuntime;
 pub use session::Session;
 pub use stats::{ThreadReport, TmThreadStats};
 pub use tx::Tx;

@@ -308,7 +308,7 @@ pub const MANIFEST: &[MutantSpec] = &[
         mutant: Mutant::MissingLaneBump,
         name: "missing_lane_bump",
         summary: "writer fast paths homed on lane 0 skip htm_commit_bump \
-                  (hybrid_norec::fast_commit_clock_update)",
+                  (common::fast_commit_clock_update)",
         kills_via: "software snapshots never see lane-0 hardware commits",
         algorithm: Algorithm::HybridNorec,
         htm: HtmProfile::Haswell,
@@ -380,7 +380,7 @@ pub const MANIFEST: &[MutantSpec] = &[
         mutant: Mutant::ElisionNoSubscription,
         name: "elision_no_subscription",
         summary: "lock-elision fast paths skip the global-lock subscription \
-                  (lock_elision::try_fast)",
+                  (lock_elision's FastPath descriptor)",
         kills_via: "hardware commits interleave with a serial writer's stores",
         algorithm: Algorithm::LockElision,
         htm: HtmProfile::Haswell,

@@ -13,10 +13,9 @@
 //! configuration ([`TmConfig`] and its builder blocks), the runtime and
 //! its scoped [`Session`] handle, the transaction handle and its typed
 //! result/fault vocabulary, and the statistics types. White-box
-//! interfaces (raw [`TmRuntime::register`](crate::TmRuntime::register)
-//! thread-id bookkeeping, the `trace`/`cost` modules, the mutation
-//! corpus) stay behind explicit paths: needing them is the signal that
-//! code is a harness, not an application.
+//! interfaces (the `trace`/`cost` modules, the batch executor, the
+//! mutation corpus) stay behind explicit paths: needing them is the
+//! signal that code is a harness, not an application.
 
 pub use crate::config::{
     Algorithm, BackoffConfig, PrefixConfig, RetryPolicy, TmConfig, TmConfigBuilder, TxKind,

@@ -1,26 +1,24 @@
-//! The TM runtime: shared state plus per-thread execution handles.
+//! The TM runtime: the shared state every [`Session`] executes against.
 
 use std::fmt;
 use std::sync::Arc;
 
-use sim_htm::{Htm, HtmThread};
+use sim_htm::Htm;
 use sim_mem::Heap;
 
-use crate::algorithms::{self, tl2::Tl2Meta};
-use crate::error::{TmError, TxFault, TxResult};
+use crate::algorithms::tl2::Tl2Meta;
+use crate::error::TmError;
 use crate::globals::Globals;
-use crate::policy::{PolicyShared, SlotSample};
-use crate::stats::{ThreadReport, TmThreadStats};
-use crate::tx::{Tx, TxMem};
-use crate::txlog::{Backoff, TxLogs};
-use crate::{Algorithm, TmConfig, TxKind};
+use crate::policy::PolicyShared;
+use crate::session::Session;
+use crate::TmConfig;
 
 /// Shared state of one TM instance: the algorithm configuration, the
 /// protocol's global variables, and algorithm-specific metadata (the TL2
 /// stripe-lock table).
 ///
-/// Create one runtime per heap+HTM pair, then [`register`](TmRuntime::register)
-/// a [`TmThread`] per worker.
+/// Create one runtime per heap+HTM pair, then
+/// [`open_session`](TmRuntime::open_session) once per worker.
 pub struct TmRuntime {
     heap: Arc<Heap>,
     htm: Arc<Htm>,
@@ -71,8 +69,8 @@ impl TmRuntime {
     /// process stays untouched.
     ///
     /// [`crate::mutants::Mutant::BloomFalseNegative`] is sampled once per
-    /// thread at [`register`](Self::register); arm it before registering
-    /// workers. Every other mutant takes effect on the next attempt.
+    /// session at [`open_session`](Self::open_session); arm it before
+    /// opening sessions. Every other mutant takes effect on the next attempt.
     #[cfg(feature = "mutants")]
     pub fn set_mutant(&self, mutant: crate::mutants::Mutant, on: bool) {
         use std::sync::atomic::Ordering;
@@ -134,39 +132,21 @@ impl TmRuntime {
         &self.tl2
     }
 
-    /// Registers worker `tid` and returns its execution handle.
+    /// Opens a [`Session`] on the lowest free thread id of the simulated
+    /// machine; dropping the session frees the id again.
     ///
     /// # Errors
     ///
-    /// Returns [`TmError::ThreadIdOutOfRange`] if `tid` is at or above the
-    /// simulated machine's thread capacity, or
-    /// [`TmError::ThreadAlreadyRegistered`] if `tid` already has a live
-    /// handle.
-    pub fn register(self: &Arc<Self>, tid: usize) -> Result<TmThread, TmError> {
-        let htm_thread = self.htm.try_register(tid).map_err(|e| match e {
-            sim_htm::RegisterError::TidOutOfRange { tid, max } => {
-                TmError::ThreadIdOutOfRange { tid, max }
-            }
-            sim_htm::RegisterError::AlreadyRegistered { tid } => {
-                TmError::ThreadAlreadyRegistered { tid }
-            }
-        })?;
-        #[allow(unused_mut)]
-        let mut logs = TxLogs::default();
-        #[cfg(feature = "mutants")]
-        logs.set_bloom_sabotage(self.mutant_armed(crate::mutants::Mutant::BloomFalseNegative));
-        Ok(TmThread {
-            htm_thread,
-            rt: Arc::clone(self),
-            tid,
-            stats: TmThreadStats::default(),
-            mem: TxMem::default(),
-            logs,
-            backoff: Backoff::new(&self.config.backoff, tid),
-            prefix_len: self.config.prefix.initial_reads,
-            policy_commits: 0,
-            policy_epoch_seen: 0,
-        })
+    /// Returns [`TmError::ThreadIdOutOfRange`] when every thread slot of
+    /// the simulated machine is taken (the error carries the capacity).
+    pub fn open_session(self: &Arc<Self>) -> Result<Session, TmError> {
+        let max = sim_mem::MAX_THREADS;
+        (0..max)
+            .find_map(|tid| {
+                let htm_thread = self.htm.try_register(tid).ok()?;
+                Some(Session::new(self, htm_thread, tid))
+            })
+            .ok_or(TmError::ThreadIdOutOfRange { tid: max, max })
     }
 
     /// The policy controller's shared state, when the layer is enabled.
@@ -182,232 +162,5 @@ impl fmt::Debug for TmRuntime {
             .field("config", &self.config)
             .field("globals", &self.globals)
             .finish_non_exhaustive()
-    }
-}
-
-/// A worker thread's handle for executing transactions.
-///
-/// Not `Sync`: each worker owns its handle. The handle owns the thread's
-/// [`HtmThread`], statistics, transactional memory log, and the adaptive
-/// HTM-prefix length state.
-///
-/// # Examples
-///
-/// ```rust
-/// use std::sync::Arc;
-/// use sim_mem::{Heap, HeapConfig};
-/// use sim_htm::{Htm, HtmConfig};
-/// use rh_norec::{Algorithm, TmConfig, TmRuntime, TxKind};
-///
-/// let heap = Arc::new(Heap::new(HeapConfig::default()));
-/// let htm = Htm::new(Arc::clone(&heap), HtmConfig::default());
-/// let rt = TmRuntime::new(Arc::clone(&heap), htm, TmConfig::new(Algorithm::RhNorec))?;
-/// let counter = heap.allocator().alloc(0, 1)?;
-///
-/// let mut thread = rt.register(0)?;
-/// for _ in 0..10 {
-///     thread.execute(TxKind::ReadWrite, |tx| {
-///         let v = tx.read(counter)?;
-///         tx.write(counter, v + 1)
-///     });
-/// }
-/// assert_eq!(heap.load(counter), 10);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub struct TmThread {
-    pub(crate) rt: Arc<TmRuntime>,
-    pub(crate) htm_thread: HtmThread,
-    pub(crate) tid: usize,
-    pub(crate) stats: TmThreadStats,
-    pub(crate) mem: TxMem,
-    /// Recycled slow-path log arenas (read log, write-set, TL2 logs).
-    pub(crate) logs: TxLogs,
-    /// Seeded contention backoff for this thread's spin sites.
-    pub(crate) backoff: Backoff,
-    /// Adaptive expected HTM-prefix length (reads), per §2.4.
-    pub(crate) prefix_len: u64,
-    /// Commits since registration (policy epoch cadence; deliberately
-    /// not reset by [`reset_stats`](Self::reset_stats) so the tick
-    /// rhythm survives benchmark warmup resets).
-    policy_commits: u64,
-    /// Last controller epoch this thread blended its prefix length on.
-    policy_epoch_seen: u64,
-}
-
-impl TmThread {
-    /// Runs `body` as one atomic transaction and returns its result.
-    ///
-    /// The engine retries the body transparently until it commits: the body
-    /// must be safe to re-execute (no side effects other than through the
-    /// [`Tx`] handle) and must propagate every `Err` from `Tx` operations.
-    ///
-    /// `kind` is the static read-only hint (the stand-in for GCC's static
-    /// analysis); see [`Tx::write`] for the contract it enforces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the body trips a [`TxFault`] — e.g. writing inside a
-    /// transaction declared read-only. Use [`try_execute`](Self::try_execute)
-    /// to handle faults as values instead.
-    pub fn execute<T>(
-        &mut self,
-        kind: TxKind,
-        body: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
-    ) -> T {
-        self.try_execute(kind, body)
-            .unwrap_or_else(|fault| panic!("transaction fault: {fault}"))
-    }
-
-    /// Like [`execute`](Self::execute), but surfaces programming faults as
-    /// typed [`TxFault`] values instead of panicking.
-    ///
-    /// On `Err` the attempt has been torn down cleanly: speculative state
-    /// is discarded, protocol locks are released, fallback announcements
-    /// are withdrawn, and no transaction is counted as committed. The heap
-    /// is exactly as if the transaction was never attempted.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`TxFault`] the body tripped (currently only
-    /// [`TxFault::WriteInReadOnly`]; see [`Tx::write`]).
-    pub fn try_execute<T>(
-        &mut self,
-        kind: TxKind,
-        mut body: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
-    ) -> Result<T, TxFault> {
-        let value = match self.rt.config.algorithm {
-            Algorithm::LockElision => algorithms::lock_elision::run(self, kind, &mut body),
-            Algorithm::Norec => algorithms::norec::run_eager(self, kind, &mut body),
-            Algorithm::NorecLazy => algorithms::norec::run_lazy(self, kind, &mut body),
-            Algorithm::Tl2 => algorithms::tl2::run(self, kind, &mut body),
-            Algorithm::HybridNorec => algorithms::hybrid_norec::run(self, kind, &mut body, false),
-            Algorithm::HybridNorecLazy => algorithms::hybrid_norec::run(self, kind, &mut body, true),
-            Algorithm::RhNorec => algorithms::rh_norec::run(self, kind, &mut body, true),
-            Algorithm::RhNorecPostfixOnly => algorithms::rh_norec::run(self, kind, &mut body, false),
-        }?;
-        self.stats.commits += 1;
-        if self.rt.policy.is_some() {
-            self.policy_after_commit();
-        }
-        Ok(value)
-    }
-
-    /// Post-commit policy work: refresh this thread's telemetry slot
-    /// (relaxed stores into its own padded line), offer a controller tick
-    /// at the epoch cadence, and pick up published knobs. Never runs when
-    /// the policy layer is off.
-    fn policy_after_commit(&mut self) {
-        let rt = Arc::clone(&self.rt);
-        let Some(shared) = rt.policy() else { return };
-        let cfg = &rt.config;
-        self.policy_commits += 1;
-        shared.record(
-            self.tid,
-            SlotSample {
-                commits: self.policy_commits,
-                hw_commits: self.stats.fast_path_commits + self.stats.postfix_commits,
-                conflict_aborts: self.stats.htm_conflict_aborts() + self.stats.slow_path_restarts,
-                fallbacks: self.stats.slow_path_entries,
-                backoff_spins: self.backoff.spins_waited(),
-                lane_cas_failures: self.backoff.lane_cas_failures(),
-                prefix_attempts: self.stats.prefix_attempts,
-                prefix_commits: self.stats.prefix_commits,
-            },
-        );
-        if self.policy_commits.is_multiple_of(cfg.policy.epoch_commits) {
-            #[cfg(feature = "mutants")]
-            let unfenced = rt.mutant_armed(crate::mutants::Mutant::PolicyStaleEpoch);
-            #[cfg(not(feature = "mutants"))]
-            let unfenced = false;
-            shared.maybe_tick(&rt.heap, &rt.globals.clock, cfg, unfenced);
-        }
-        if cfg.policy.adapt_backoff {
-            self.backoff.set_max_spins(shared.backoff_cap());
-        }
-        let epoch = shared.epoch();
-        if epoch != self.policy_epoch_seen {
-            if cfg.policy.adapt_prefix && cfg.prefix.adaptive {
-                // Blend toward the controller's target rather than jump:
-                // the §2.4 per-attempt reflex keeps working between
-                // epochs; this is its slow timescale.
-                let target = shared.prefix_target();
-                self.prefix_len = ((self.prefix_len + target) / 2)
-                    .clamp(cfg.prefix.min_reads.max(1), cfg.prefix.max_reads);
-            }
-            self.policy_epoch_seen = epoch;
-        }
-    }
-
-    /// This worker's thread id.
-    #[inline]
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// The runtime this thread belongs to.
-    #[inline]
-    pub fn runtime(&self) -> &Arc<TmRuntime> {
-        &self.rt
-    }
-
-    /// Engine-level statistics for this thread.
-    #[inline]
-    pub fn stats(&self) -> TmThreadStats {
-        self.stats
-    }
-
-    /// Combined engine + raw HTM statistics.
-    pub fn report(&self) -> ThreadReport {
-        ThreadReport {
-            tm: self.stats,
-            htm: self.htm_thread.stats(),
-        }
-    }
-
-    /// Resets both engine and HTM statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = TmThreadStats::default();
-        self.htm_thread.reset_stats();
-    }
-
-    /// Current adaptive HTM-prefix length (reads), for diagnostics.
-    #[inline]
-    pub fn prefix_len(&self) -> u64 {
-        self.prefix_len
-    }
-
-    /// Controller epochs completed by the policy layer (0 when the
-    /// layer is off), for diagnostics.
-    pub fn policy_epoch(&self) -> u64 {
-        self.rt.policy().map_or(0, |p| p.epoch())
-    }
-
-    /// The clock's current active-lane count (equals `clock_shards`
-    /// whenever lane adaptation is off), for diagnostics.
-    pub fn active_clock_lanes(&self) -> u32 {
-        self.rt.globals.clock.active_lanes(&self.rt.heap)
-    }
-
-    /// Reallocations of this thread's recycled slow-path log arenas since
-    /// registration, for diagnostics.
-    ///
-    /// The arenas (lazy NOrec read log and write-set, TL2 read-set, undo
-    /// log and owned-stripe table) are cleared but never freed between
-    /// attempts, so in steady state this counter stops moving: a retry
-    /// loop performs no heap allocation. Tests pin that invariant here.
-    #[inline]
-    pub fn log_grow_events(&self) -> u64 {
-        self.logs.grow_events()
-    }
-}
-
-impl fmt::Debug for TmThread {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TmThread")
-            .field("tid", &self.tid)
-            .field("algorithm", &self.rt.config.algorithm)
-            .field("stats", &self.stats)
-            .field("prefix_len", &self.prefix_len)
-            .finish()
     }
 }

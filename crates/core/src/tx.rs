@@ -72,18 +72,18 @@ macro_rules! dispatch {
 ///
 /// # Examples
 ///
-/// Transaction bodies look like this (see [`TmThread::execute`] for the
-/// full setup):
+/// Transaction bodies look like this (see [`Session`] for the full
+/// setup):
 ///
 /// ```rust,ignore
-/// thread.execute(TxKind::ReadWrite, |tx| {
+/// session.run(|tx| {
 ///     let v = tx.read(counter)?;
 ///     tx.write(counter, v + 1)?;
 ///     Ok(v)
-/// });
+/// })?;
 /// ```
 ///
-/// [`TmThread::execute`]: crate::TmThread::execute
+/// [`Session`]: crate::Session
 pub struct Tx<'a> {
     ctx: TxCtx<'a>,
     kind: TxKind,
@@ -128,9 +128,9 @@ impl<'a> Tx<'a> {
     /// is refused before it reaches any engine: this call returns
     /// [`TxRestart`](crate::TxRestart) (propagate it with `?` as usual),
     /// the attempt is torn down cleanly, and the enclosing
-    /// [`try_execute`](crate::TmThread::try_execute) returns
+    /// [`Session::run_read`](crate::Session::run_read) returns
     /// [`TxFault::WriteInReadOnly`] instead of retrying
-    /// ([`execute`](crate::TmThread::execute) panics). The read-only hint
+    /// ([`Session::execute`](crate::Session::execute) panics). The read-only hint
     /// models compiler static analysis, so a write under it is a
     /// programming error, never a transient condition.
     ///

@@ -6,7 +6,7 @@
 //! lower bounds) is that every cycle of software instrumentation is paid on
 //! the critical path of the whole hybrid. Three properties follow:
 //!
-//! * **No per-attempt allocation.** Every log lives on the [`TmThread`]
+//! * **No per-attempt allocation.** Every log lives on the [`Session`]
 //!   (like `TxMem`) and is recycled clear-don't-free across attempts and
 //!   transactions; a retry loop reuses warm, already-sized buffers. The
 //!   arenas count their growth events so tests can assert the steady state
@@ -23,7 +23,7 @@
 //!   `tm-check` schedules replay identically with backoff enabled,
 //!   disabled, or re-seeded.
 //!
-//! [`TmThread`]: crate::TmThread
+//! [`Session`]: crate::Session
 
 use sim_mem::Addr;
 
@@ -335,7 +335,7 @@ impl WriteSet {
     }
 }
 
-/// The per-thread log arenas, owned by `TmThread` alongside `TxMem` and
+/// The per-thread log arenas, owned by `Session` alongside `TxMem` and
 /// lent to slow-path contexts for the duration of an attempt.
 #[derive(Debug, Default)]
 pub(crate) struct TxLogs {

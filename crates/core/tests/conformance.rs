@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-use rh_norec::{Algorithm, TmConfig, TmRuntime, TxKind};
+use rh_norec::{clock, Algorithm, TmConfig, TmRuntime, TxFault, TxKind};
 use sim_htm::{Htm, HtmConfig};
 use sim_mem::{Addr, Heap, HeapConfig};
 
@@ -57,10 +57,9 @@ fn counter_increments_are_exact() {
         let threads = 4;
         let per = 500u64;
         std::thread::scope(|s| {
-            for tid in 0..threads {
-                let rt = Arc::clone(&rt);
+            for _ in 0..threads {
+                let mut worker = rt.open_session().expect("free worker slot");
                 s.spawn(move || {
-                    let mut worker = rt.register(tid).expect("fresh thread id");
                     for _ in 0..per {
                         worker.execute(TxKind::ReadWrite, |tx| {
                             let v = tx.read(counter)?;
@@ -93,10 +92,9 @@ fn bank_snapshots_see_conserved_total() {
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {
             for tid in 0..2usize {
-                let rt = Arc::clone(&rt);
+                let mut worker = rt.open_session().expect("free worker slot");
                 let done = &done;
                 s.spawn(move || {
-                    let mut worker = rt.register(tid).expect("fresh thread id");
                     let mut rng = 0x1234_5678_9abc_def0u64 ^ tid as u64;
                     for _ in 0..800 {
                         rng ^= rng << 13;
@@ -119,10 +117,9 @@ fn bank_snapshots_see_conserved_total() {
                 });
             }
             {
-                let rt = Arc::clone(&rt);
+                let mut worker = rt.open_session().expect("free worker slot");
                 let done = &done;
                 s.spawn(move || {
-                    let mut worker = rt.register(2).expect("fresh thread id");
                     let mut seen = 0;
                     while !done.load(Ordering::Acquire) || seen == 0 {
                         let sum = worker.execute(TxKind::ReadOnly, |tx| {
@@ -158,10 +155,9 @@ fn opacity_holds_mid_transaction() {
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {
             {
-                let rt = Arc::clone(&rt);
+                let mut worker = rt.open_session().expect("free worker slot");
                 let done = &done;
                 s.spawn(move || {
-                    let mut worker = rt.register(0).expect("fresh thread id");
                     for step in 0..2_000u64 {
                         worker.execute(TxKind::ReadWrite, |tx| {
                             let vx = tx.read(x)?;
@@ -174,11 +170,10 @@ fn opacity_holds_mid_transaction() {
                     done.store(true, Ordering::Release);
                 });
             }
-            for tid in 1..3usize {
-                let rt = Arc::clone(&rt);
+            for _ in 1..3usize {
+                let mut worker = rt.open_session().expect("free worker slot");
                 let done = &done;
                 s.spawn(move || {
-                    let mut worker = rt.register(tid).expect("fresh thread id");
                     while !done.load(Ordering::Acquire) {
                         worker.execute(TxKind::ReadOnly, |tx| {
                             let vx = tx.read(x)?;
@@ -206,11 +201,10 @@ fn write_skew_is_prevented() {
         let barrier = Barrier::new(2);
         std::thread::scope(|s| {
             let mk = |tid: usize, mine: Addr, other: Addr| {
-                let rt = Arc::clone(&rt);
+                let mut worker = rt.open_session().expect("free worker slot");
                 let barrier = &barrier;
                 let heap = Arc::clone(&heap);
                 s.spawn(move || {
-                    let mut worker = rt.register(tid).expect("fresh thread id");
                     for _ in 0..rounds {
                         barrier.wait();
                         worker.execute(TxKind::ReadWrite, |tx| {
@@ -256,11 +250,10 @@ fn privatization_is_safe() {
         heap.store(head, node.to_word());
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {
-            for tid in 0..2usize {
-                let rt = Arc::clone(&rt);
+            for _ in 0..2usize {
+                let mut worker = rt.open_session().expect("free worker slot");
                 let done = &done;
                 s.spawn(move || {
-                    let mut worker = rt.register(tid).expect("fresh thread id");
                     while !done.load(Ordering::Acquire) {
                         worker.execute(TxKind::ReadWrite, |tx| {
                             let target = tx.read_addr(head)?;
@@ -274,11 +267,10 @@ fn privatization_is_safe() {
                 });
             }
             {
-                let rt = Arc::clone(&rt);
+                let mut worker = rt.open_session().expect("free worker slot");
                 let heap = Arc::clone(&heap);
                 let done = &done;
                 s.spawn(move || {
-                    let mut worker = rt.register(2).expect("fresh thread id");
                     // Let the writers churn, then privatize.
                     for _ in 0..2_000 {
                         std::hint::spin_loop();
@@ -307,8 +299,54 @@ fn privatization_is_safe() {
 fn read_only_hint_is_enforced() {
     let (heap, rt) = runtime(Algorithm::RhNorec, HtmConfig::default());
     let a = heap.allocator().alloc(0, 1).unwrap();
-    let mut worker = rt.register(0).expect("fresh thread id");
+    let mut worker = rt.open_session().expect("free worker slot");
     worker.execute(TxKind::ReadOnly, |tx| tx.write(a, 1));
+}
+
+/// A typed fault tears down cleanly on every engine path: the fast path
+/// (healthy HTM), the serial section, the eager and lazy hybrid slow
+/// paths and RH NOrec's mixed slow path (no HTM, or a read set that
+/// overflows the tiny device), and the STMs. The faulting session leaves
+/// the heap and every protocol word as it found them, and a second
+/// session's read-modify-write then commits.
+#[test]
+fn typed_fault_tears_down_cleanly_on_every_path() {
+    for_all_algorithms(|alg, cfg| {
+        let (heap, rt) = runtime(alg, cfg);
+        let g = *rt.globals();
+        let alloc = heap.allocator();
+        let a = alloc.alloc(0, 8).unwrap();
+        heap.store(a, 7);
+        // 16 distinct lines: twice the tiny device's read capacity.
+        let slots: Vec<Addr> = (0..16).map(|_| alloc.alloc(0, 8).unwrap()).collect();
+        let mut faulty = rt.open_session().expect("free worker slot");
+        for reads in [0, slots.len()] {
+            let fault = faulty.run_read(|tx| {
+                for &s in &slots[..reads] {
+                    tx.read(s)?;
+                }
+                tx.write(a, 1)
+            });
+            assert_eq!(fault, Err(TxFault::WriteInReadOnly), "{alg:?} ({reads} reads)");
+            assert_eq!(heap.load(a), 7, "{alg:?}: faulted attempt touched the heap");
+            assert_eq!(heap.load(g.global_htm_lock), 0, "{alg:?}: HTM lock leaked");
+            assert_eq!(heap.load(g.serial_lock), 0, "{alg:?}: serial lock leaked");
+            assert_eq!(heap.load(g.num_of_fallbacks), 0, "{alg:?}: fallback count leaked");
+            for lane in 0..g.clock.shards() as usize {
+                let word = heap.load(g.clock.lane(lane));
+                assert!(!clock::is_locked(word), "{alg:?}: clock lane {lane} left locked");
+            }
+        }
+        assert_eq!(faulty.stats().commits, 0, "{alg:?}: a faulted attempt counted as committed");
+        let mut other = rt.open_session().expect("free worker slot");
+        let old = other.run(|tx| {
+            let v = tx.read(a)?;
+            tx.write(a, v + 1)?;
+            Ok(v)
+        });
+        assert_eq!(old, Ok(7), "{alg:?}: peer could not commit after the fault");
+        assert_eq!(heap.load(a), 8);
+    });
 }
 
 /// Transactional allocation: nodes allocated and linked in committed
@@ -322,10 +360,9 @@ fn transactional_alloc_and_free() {
         let threads = 3usize;
         let per = 100u64;
         std::thread::scope(|s| {
-            for tid in 0..threads {
-                let rt = Arc::clone(&rt);
+            for _ in 0..threads {
+                let mut worker = rt.open_session().expect("free worker slot");
                 s.spawn(move || {
-                    let mut worker = rt.register(tid).expect("fresh thread id");
                     // Push `per` nodes: node = [next, value].
                     for i in 0..per {
                         worker.execute(TxKind::ReadWrite, |tx| {
@@ -372,7 +409,7 @@ fn transactional_alloc_and_free() {
 fn stats_account_for_every_commit() {
     let (heap, rt) = runtime(Algorithm::RhNorec, HtmConfig::disabled());
     let a = heap.allocator().alloc(0, 1).unwrap();
-    let mut worker = rt.register(0).expect("fresh thread id");
+    let mut worker = rt.open_session().expect("free worker slot");
     for _ in 0..50 {
         worker.execute(TxKind::ReadWrite, |tx| {
             let v = tx.read(a)?;
@@ -394,7 +431,7 @@ fn uncontended_transactions_stay_on_the_fast_path() {
     for alg in [Algorithm::LockElision, Algorithm::HybridNorec, Algorithm::RhNorec] {
         let (heap, rt) = runtime(alg, HtmConfig::default());
         let a = heap.allocator().alloc(0, 1).unwrap();
-        let mut worker = rt.register(0).expect("fresh thread id");
+        let mut worker = rt.open_session().expect("free worker slot");
         for _ in 0..100 {
             worker.execute(TxKind::ReadWrite, |tx| {
                 let v = tx.read(a)?;
@@ -425,7 +462,7 @@ fn rh_norec_small_htms_engage_under_fallback() {
     let (heap, rt) = runtime(Algorithm::RhNorec, cfg);
     let alloc = heap.allocator();
     let slots: Vec<Addr> = (0..24).map(|_| alloc.alloc(0, 8).unwrap()).collect();
-    let mut worker = rt.register(0).expect("fresh thread id");
+    let mut worker = rt.open_session().expect("free worker slot");
     for round in 0..200u64 {
         let slots = slots.clone();
         worker.execute(TxKind::ReadWrite, |tx| {

@@ -19,7 +19,7 @@ fn runtime(algorithm: Algorithm) -> (Arc<Heap>, Arc<TmRuntime>) {
 fn cycles_for(algorithm: Algorithm, n: u64) -> u64 {
     let (heap, rt) = runtime(algorithm);
     let a = heap.allocator().alloc(0, 1).unwrap();
-    let mut w = rt.register(0).expect("fresh thread id");
+    let mut w = rt.open_session().expect("free worker slot");
     w.reset_stats();
     for _ in 0..n {
         w.execute(TxKind::ReadWrite, |tx| {
@@ -71,7 +71,7 @@ fn instrumentation_gap_grows_with_transaction_size() {
             let (heap, rt) = runtime(alg);
             let alloc = heap.allocator();
             let slots: Vec<_> = (0..reads).map(|_| alloc.alloc(0, 1).unwrap()).collect();
-            let mut w = rt.register(0).expect("fresh thread id");
+            let mut w = rt.open_session().expect("free worker slot");
             w.reset_stats();
             for _ in 0..20 {
                 let slots = slots.clone();
@@ -109,7 +109,7 @@ fn aborted_attempts_cost_cycles() {
     );
     let rt = TmRuntime::new(Arc::clone(&heap), htm, TmConfig::new(Algorithm::RhNorec)).expect("runtime construction cannot fail");
     let a = heap.allocator().alloc(0, 1).unwrap();
-    let mut w = rt.register(0).expect("fresh thread id");
+    let mut w = rt.open_session().expect("free worker slot");
     w.reset_stats();
     for _ in 0..200 {
         w.execute(TxKind::ReadWrite, |tx| {

@@ -64,7 +64,7 @@ fn warm_commits_with_policy_enabled_never_allocate() {
             (0..8).map(|_| alloc.alloc(0, 1).expect("test heap too small")).collect()
         };
 
-        let mut w = rt.register(0).expect("fresh thread id");
+        let mut w = rt.open_session().expect("free worker slot");
         let body = |tx: &mut rh_norec::Tx<'_>| {
             let mut acc = 0u64;
             for &slot in &slots {

@@ -79,7 +79,7 @@ fn all_algorithms_match_the_sequential_model() {
             let htm = Htm::new(Arc::clone(&heap), HtmConfig::default());
             let rt = TmRuntime::new(Arc::clone(&heap), htm, TmConfig::new(alg)).expect("runtime construction cannot fail");
             let base = heap.allocator().alloc(0, SLOTS).unwrap();
-            let mut worker = rt.register(0).expect("fresh thread id");
+            let mut worker = rt.open_session().expect("free worker slot");
             let mut model: HashMap<u64, u64> = HashMap::new();
 
             for tx_ops in &script {
@@ -151,9 +151,8 @@ fn concurrent_random_increments_conserve_totals() {
 
         let bodies: Vec<_> = (0..threads)
             .map(|tid| {
-                let rt = Arc::clone(&rt);
+                let mut worker = rt.open_session().expect("free worker slot");
                 move || {
-                    let mut worker = rt.register(tid).expect("fresh thread id");
                     let mut rng = SmallRng::seed_from_u64(seed ^ (tid as u64 + 1));
                     for _ in 0..per {
                         let a = base.offset(rng.gen_range(0..SLOTS));

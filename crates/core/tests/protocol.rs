@@ -30,7 +30,7 @@ fn norec_writer_commits_advance_the_clock_by_one_version() {
     let (heap, rt) = runtime(Algorithm::Norec, HtmConfig::default());
     let g = *rt.globals();
     let a = heap.allocator().alloc(1, 1).unwrap();
-    let mut w = rt.register(0).expect("fresh thread id");
+    let mut w = rt.open_session().expect("free worker slot");
     for i in 0..5u64 {
         w.execute(TxKind::ReadWrite, |tx| tx.write(a, i));
         let v = heap.load(g.clock.lane(0));
@@ -48,7 +48,7 @@ fn hybrid_fast_path_skips_clock_update_without_fallbacks() {
         let (heap, rt) = runtime(alg, HtmConfig::default());
         let g = *rt.globals();
         let a = heap.allocator().alloc(1, 1).unwrap();
-        let mut w = rt.register(0).expect("fresh thread id");
+        let mut w = rt.open_session().expect("free worker slot");
         for i in 0..10u64 {
             w.execute(TxKind::ReadWrite, |tx| tx.write(a, i));
         }
@@ -69,7 +69,7 @@ fn hybrid_fast_path_updates_clock_when_fallbacks_exist() {
         let a = heap.allocator().alloc(1, 1).unwrap();
         // Pretend another thread sits on the slow path.
         heap.store(g.num_of_fallbacks, 1);
-        let mut w = rt.register(0).expect("fresh thread id");
+        let mut w = rt.open_session().expect("free worker slot");
         let clock_before = heap.load(g.clock.lane(0));
         w.execute(TxKind::ReadWrite, |tx| tx.write(a, 7));
         assert_eq!(w.stats().fast_path_commits, 1);
@@ -92,7 +92,7 @@ fn rh_software_writer_path_raises_and_releases_the_htm_lock() {
     let (heap, rt) = runtime(Algorithm::RhNorec, HtmConfig::disabled());
     let g = *rt.globals();
     let a = heap.allocator().alloc(1, 1).unwrap();
-    let mut w = rt.register(0).expect("fresh thread id");
+    let mut w = rt.open_session().expect("free worker slot");
     w.execute(TxKind::ReadWrite, |tx| tx.write(a, 3));
     let stats = w.stats();
     assert_eq!(stats.slow_path_commits, 1);
@@ -116,7 +116,7 @@ fn rh_postfix_commits_in_hardware_when_available() {
     let g = *rt.globals();
     let alloc = heap.allocator();
     let slots: Vec<_> = (0..4).map(|_| alloc.alloc(1, 8).unwrap()).collect();
-    let mut w = rt.register(0).expect("fresh thread id");
+    let mut w = rt.open_session().expect("free worker slot");
     w.execute(TxKind::ReadWrite, |tx| {
         for (i, &s) in slots.iter().enumerate() {
             tx.write(s, i as u64 + 1)?; // 4 distinct lines > fast-path cap
@@ -152,7 +152,7 @@ fn rh_prefix_absorbs_read_only_transactions() {
     let alloc = heap.allocator();
     let a = alloc.alloc(1, 8).unwrap();
     let b = alloc.alloc(1, 8).unwrap();
-    let mut w = rt.register(0).expect("fresh thread id");
+    let mut w = rt.open_session().expect("free worker slot");
     for i in 0..50u64 {
         // Two write lines -> always falls back; the slow path starts with
         // its HTM prefix.
@@ -179,7 +179,7 @@ fn postfix_only_variant_never_attempts_a_prefix() {
     let alloc = heap.allocator();
     let a = alloc.alloc(1, 8).unwrap();
     let b = alloc.alloc(1, 8).unwrap();
-    let mut w = rt.register(0).expect("fresh thread id");
+    let mut w = rt.open_session().expect("free worker slot");
     for _ in 0..20 {
         w.execute(TxKind::ReadWrite, |tx| {
             tx.write(a, 1)?;
@@ -205,7 +205,7 @@ fn prefix_length_adapts_downward_on_aborts() {
     let alloc = heap.allocator();
     let slots: Vec<_> = (0..32).map(|_| alloc.alloc(1, 8).unwrap()).collect();
     let extra = alloc.alloc(1, 8).unwrap();
-    let mut w = rt.register(0).expect("fresh thread id");
+    let mut w = rt.open_session().expect("free worker slot");
     let initial = w.prefix_len();
     for _ in 0..30 {
         let slots = slots.clone();
@@ -232,7 +232,7 @@ fn lock_elision_serializes_under_fallback_and_releases_the_lock() {
     let (heap, rt) = runtime(Algorithm::LockElision, HtmConfig::disabled());
     let g = *rt.globals();
     let a = heap.allocator().alloc(1, 1).unwrap();
-    let mut w = rt.register(0).expect("fresh thread id");
+    let mut w = rt.open_session().expect("free worker slot");
     for i in 0..5u64 {
         w.execute(TxKind::ReadWrite, |tx| tx.write(a, i));
     }
@@ -247,8 +247,10 @@ fn sharded_norec_commits_bump_only_the_home_lane() {
     let (heap, rt) = runtime_with(sharded(Algorithm::Norec, 4), HtmConfig::default());
     let g = *rt.globals();
     let a = heap.allocator().alloc(1, 1).unwrap();
-    for tid in 0..3usize {
-        let mut w = rt.register(tid).expect("fresh thread id");
+    // Held open together so the three writers take tids 0, 1, 2.
+    let mut writers: Vec<_> =
+        (0..3).map(|_| rt.open_session().expect("free worker slot")).collect();
+    for (tid, w) in writers.iter_mut().enumerate() {
         w.execute(TxKind::ReadWrite, |tx| tx.write(a, tid as u64));
         w.execute(TxKind::ReadWrite, |tx| tx.write(a, tid as u64 + 10));
     }
@@ -259,7 +261,8 @@ fn sharded_norec_commits_bump_only_the_home_lane() {
     let epoch = g.clock.epoch_addr().expect("sharded clock has an epoch");
     assert_eq!(heap.load(epoch), 0, "write-phase epoch leaked");
     // Read-only transactions move nothing.
-    let mut r = rt.register(3).expect("fresh thread id");
+    let mut r = rt.open_session().expect("free worker slot");
+    assert_eq!(r.tid(), 3);
     r.execute(TxKind::ReadOnly, |tx| tx.read(a).map(|_| ()));
     assert_eq!(g.clock.total_version(&heap), 12);
 }
@@ -272,7 +275,9 @@ fn sharded_fast_path_bumps_only_its_home_lane_when_fallbacks_exist() {
         let a = heap.allocator().alloc(1, 1).unwrap();
         // Pretend another thread sits on the slow path.
         heap.store(g.num_of_fallbacks, 1);
-        let mut w = rt.register(1).expect("fresh thread id");
+        let _tid0 = rt.open_session().expect("free worker slot");
+        let mut w = rt.open_session().expect("free worker slot");
+        assert_eq!(w.tid(), 1);
         w.execute(TxKind::ReadWrite, |tx| tx.write(a, 7));
         assert_eq!(w.stats().fast_path_commits, 1);
         assert_eq!(
@@ -303,7 +308,7 @@ fn sharded_postfix_bumps_its_lane_inside_the_hardware_transaction() {
         let b = alloc.alloc(1, 8).unwrap();
         heap.store(g.num_of_fallbacks, 1);
         heap.store(g.serial_lock, 1);
-        let mut w = rt.register(0).expect("fresh thread id");
+        let mut w = rt.open_session().expect("free worker slot");
         w.execute(TxKind::ReadWrite, |tx| {
             tx.write(a, 5)?;
             tx.write(b, 6)
@@ -328,7 +333,9 @@ fn sharded_software_writer_quiesces_all_lanes_via_the_epoch() {
     let (heap, rt) = runtime_with(sharded(Algorithm::RhNorec, 4), HtmConfig::disabled());
     let g = *rt.globals();
     let a = heap.allocator().alloc(1, 1).unwrap();
-    let mut w = rt.register(2).expect("fresh thread id");
+    let _tids_0_1: Vec<_> = (0..2).map(|_| rt.open_session().expect("free worker slot")).collect();
+    let mut w = rt.open_session().expect("free worker slot");
+    assert_eq!(w.tid(), 2);
     w.execute(TxKind::ReadWrite, |tx| tx.write(a, 3));
     let stats = w.stats();
     assert_eq!(stats.slow_path_commits, 1);
@@ -346,7 +353,7 @@ fn tl2_commits_do_not_touch_the_norec_clock() {
     let (heap, rt) = runtime(Algorithm::Tl2, HtmConfig::default());
     let g = *rt.globals();
     let a = heap.allocator().alloc(1, 1).unwrap();
-    let mut w = rt.register(0).expect("fresh thread id");
+    let mut w = rt.open_session().expect("free worker slot");
     for i in 0..5u64 {
         w.execute(TxKind::ReadWrite, |tx| tx.write(a, i));
     }

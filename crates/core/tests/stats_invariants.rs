@@ -56,11 +56,10 @@ fn run_case(algorithm: Algorithm, htm_config: HtmConfig, seed: u64) -> TmThreadS
     let merged = Mutex::new(TmThreadStats::default());
     let bodies: Vec<_> = (0..THREADS)
         .map(|tid| {
-            let rt = Arc::clone(&rt);
+            let mut worker = rt.open_session().expect("free worker slot");
             let slots = slots.clone();
             let merged = &merged;
             move || {
-                let mut worker = rt.register(tid).expect("fresh thread id");
                 for i in 0..TXS_PER_THREAD {
                     if i % 3 == 2 {
                         // Read-only sweep over every slot.
@@ -166,7 +165,7 @@ fn uncontended_default_device_commits_on_the_fast_path() {
         let rt = TmRuntime::new(Arc::clone(&heap), htm, TmConfig::new(algorithm))
             .expect("runtime construction cannot fail");
         let slot = heap.allocator().alloc(0, 1).expect("heap has room");
-        let mut worker = rt.register(0).expect("fresh thread id");
+        let mut worker = rt.open_session().expect("free worker slot");
         for _ in 0..32 {
             worker.execute(TxKind::ReadWrite, |tx| {
                 let v = tx.read(slot)?;

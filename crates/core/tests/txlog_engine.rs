@@ -35,7 +35,7 @@ fn duplicate_writes_are_last_write_wins_on_every_slow_path() {
     for alg in Algorithm::ALL {
         let (heap, rt) = software_only(alg);
         let slots = alloc_slots(&heap, 4);
-        let mut w = rt.register(0).expect("fresh thread id");
+        let mut w = rt.open_session().expect("free worker slot");
         w.execute(TxKind::ReadWrite, |tx| {
             // 16 writes cycling over 4 addresses; the last round wins.
             for i in 0..16u64 {
@@ -67,7 +67,7 @@ fn duplicate_writes_are_last_write_wins_on_every_slow_path() {
 fn lazy_tx_cycles(algorithm: Algorithm, writes: u64, distinct: u64) -> u64 {
     let (heap, rt) = software_only(algorithm);
     let slots = alloc_slots(&heap, distinct);
-    let mut w = rt.register(0).expect("fresh thread id");
+    let mut w = rt.open_session().expect("free worker slot");
     // Warm the arenas so the measured transaction is steady-state.
     w.execute(TxKind::ReadWrite, |tx| tx.write(slots[0], 0));
     w.reset_stats();
@@ -108,7 +108,7 @@ fn warm_slow_paths_never_allocate_per_attempt() {
     for alg in Algorithm::ALL {
         let (heap, rt) = software_only(alg);
         let slots = alloc_slots(&heap, 32);
-        let mut w = rt.register(0).expect("fresh thread id");
+        let mut w = rt.open_session().expect("free worker slot");
         let body = |tx: &mut rh_norec::Tx<'_>| {
             // 12 distinct writes crosses the small-set threshold, so the
             // indexed representation (and its probe table) is exercised.

@@ -153,7 +153,7 @@ mod tests {
         });
         let batch = bind_trace(&store, &trace);
         let exec = ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(4)).unwrap();
-        let report = exec.execute(&batch);
+        let (report, _) = exec.execute(&batch, &[batch.len()]);
         assert!(report.speculative());
         assert_eq!(report.txs(), 400);
         assert_eq!(store.sum_direct(&heap), 1600, "batch transfers minted or lost balance");
@@ -182,7 +182,7 @@ mod tests {
                 let exec =
                     ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(workers))
                         .unwrap();
-                exec.execute(&batch);
+                exec.execute(&batch, &[batch.len()]);
             }
             store.snapshot_words(&heap)
         };

@@ -479,7 +479,7 @@ pub fn run_service(config: &ServiceConfig) -> ServiceReport {
 /// recorders there).
 ///
 /// Batch mode has its own controlled entry points on the executor
-/// (`execute_chained_controlled`); this driver supports session mode.
+/// (`execute_controlled`); this driver supports session mode.
 ///
 /// # Panics
 ///
@@ -496,7 +496,7 @@ pub fn run_service_controlled(
     assert!(
         matches!(config.mode, ExecMode::Session),
         "the controlled service driver runs session mode; drive batch chains \
-         through ParallelExecutor::execute_chained_controlled"
+         through ParallelExecutor::execute_controlled"
     );
     let mut run = None;
     let report = run_service_with(config, |pool, threads| {
@@ -738,7 +738,7 @@ fn run_batch_pipeline(
                     closes.push(close_at_ns);
                     i += 1;
                 }
-                let (report, elapsed_cycles) = exec.execute_chained(&txns, &bounds);
+                let (report, elapsed_cycles) = exec.execute(&txns, &bounds);
                 batch_commits += report.txs();
                 batch_aborts += report.aborts();
                 batched += report.txs();

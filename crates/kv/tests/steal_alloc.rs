@@ -11,6 +11,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use rh_kv::former::{batchable, Former, FormerConfig, Segment};
 use rh_kv::gen::{generate, Mix, TraceConfig};
@@ -42,6 +43,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide, so the two guards must not run at once:
+/// one's set-up allocations would land in the other's warm window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// The BENCH_10-shaped trace both guards run over: bursty service mix,
 /// enough requests to cycle the former through fills, deadline closes,
 /// barriers, and hysteretic fallbacks.
@@ -59,6 +64,7 @@ fn warm_trace() -> Vec<rh_kv::gen::Request> {
 
 #[test]
 fn warm_steal_queue_operations_never_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let trace = warm_trace();
     let n = trace.len() as u32;
     // Preload (the one allocation site) happens outside the measured
@@ -103,6 +109,7 @@ fn warm_steal_queue_operations_never_allocate() {
 
 #[test]
 fn warm_batch_formation_never_allocates() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let trace = warm_trace();
     let mut former = Former::new(FormerConfig {
         max_batch: 64,

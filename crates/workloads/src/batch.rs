@@ -309,7 +309,8 @@ mod tests {
         let workload = TransferBatch::generate(&heap, &small());
         let exec =
             ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(4)).unwrap();
-        let report = exec.execute(&workload.batch());
+        let batch = workload.batch();
+        let (report, _) = exec.execute(&batch, &[batch.len()]);
         assert!(report.speculative());
         assert_eq!(report.txs() as usize, workload.len());
         workload.verify(&heap).expect("conservation under speculation");

@@ -145,11 +145,11 @@ mod tests {
                     }
                 });
             }
-            for tid in 0..2usize {
+            for _ in 0..2usize {
                 let rt = Arc::clone(&rt);
                 let consumed = &consumed;
                 s.spawn(move || {
-                    let mut w = rt.register(producers + tid).expect("fresh thread id");
+                    let mut w = rt.open_session().expect("free worker slot");
                     let mut got = Vec::new();
                     let mut misses = 0;
                     while misses < 200 {

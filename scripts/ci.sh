@@ -23,11 +23,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== build (release, instrumented: workspace pulls the deterministic feature via tm-check) =="
 cargo build --workspace --release
 
-echo "== build (release, uninstrumented: rh-bench alone compiles yield/trace hooks out) =="
-cargo build -p rh-bench --release
+echo "== build (release, uninstrumented: the benchmark crate's free build compiles yield/trace hooks out) =="
+# rh-bench turns `deterministic` on unconditionally; the standalone
+# benchmark crate (outside the workspace) is the build with
+# rh_norec::INSTRUMENTED == false.
+cargo build --release --manifest-path benchmark/Cargo.toml
 
 echo "== tests =="
 cargo test -q --workspace
+
+echo "== benchmark crate tests (free and controlled builds) + smoke pass =="
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+cargo test -q --release --manifest-path benchmark/Cargo.toml --features controlled
+benchmark/run.sh --smoke
 
 echo "== committed ledger diff (BENCH_3 -> BENCH_4, deterministic, informative) =="
 # Diffs the two *committed* artifacts — byte-stable regardless of CI

@@ -74,7 +74,7 @@ fn rbtree_matches_btreemap() {
         let alg = if rng.gen_bool(0.5) { Algorithm::RhNorec } else { Algorithm::Norec };
         let (heap, rt) = runtime(alg);
         let tree = RbTree::create(&heap);
-        let mut worker = rt.register(0).expect("fresh thread id");
+        let mut worker = rt.open_session().expect("free worker slot");
         let mut model = BTreeMap::new();
         for op in ops {
             match op {
@@ -106,7 +106,7 @@ fn hashtable_matches_hashmap() {
         let ops = gen_map_ops(&mut rng);
         let (heap, rt) = runtime(Algorithm::RhNorec);
         let table = HashTable::create(&heap, 8);
-        let mut worker = rt.register(0).expect("fresh thread id");
+        let mut worker = rt.open_session().expect("free worker slot");
         let mut model = HashMap::new();
         for op in ops {
             match op {
@@ -139,7 +139,7 @@ fn sorted_list_matches_btreemap() {
         let ops = gen_map_ops(&mut rng);
         let (heap, rt) = runtime(Algorithm::RhNorec);
         let list = SortedList::create(&heap);
-        let mut worker = rt.register(0).expect("fresh thread id");
+        let mut worker = rt.open_session().expect("free worker slot");
         let mut model = BTreeMap::new();
         for op in ops {
             match op {
@@ -180,7 +180,7 @@ fn queue_matches_vecdeque() {
             .collect();
         let (heap, rt) = runtime(Algorithm::RhNorec);
         let queue = Queue::create(&heap);
-        let mut worker = rt.register(0).expect("fresh thread id");
+        let mut worker = rt.open_session().expect("free worker slot");
         let mut model = std::collections::VecDeque::new();
         for op in ops {
             match op {
