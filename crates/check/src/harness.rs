@@ -766,6 +766,9 @@ fn run_steal_case(
     let mut service_cfg =
         rh_kv::service::ServiceConfig::new(case.algorithm, case.threads, trace_cfg);
     service_cfg.htm = case.htm;
+    // Case-sized, as in the other case kinds: the service tier's default
+    // heap is sized for full traces, and zero-filling it dominated a case.
+    service_cfg.heap_words = 1 << 16;
     service_cfg.kv = rh_kv::KvConfig::tiny(kv_shards);
     service_cfg.sched = rh_kv::service::SchedPolicy::Steal { enabled: true };
     service_cfg.armed_mutants = case.mutant.into_iter().collect();

@@ -11,6 +11,19 @@
 //! replays the exact interleaving — or from an explicit choice list, which
 //! lets an explorer enumerate all interleavings up to a bounded depth.
 //!
+//! **Hand-off.** One mutex guards every scheduling decision: the runnable
+//! set, the RNG draws, the decision log and the step count. The decision's
+//! outcome is published in an atomic *turn* word (plus a poison flag), and
+//! each virtual thread records its `std::thread::Thread` when it attaches,
+//! so a hand-off stores the turn and unparks exactly the chosen thread.
+//! A waiting thread re-checks the turn, calling `std::thread::yield_now`
+//! in between, and parks only after a fixed budget of such checks: a
+//! short wait never reaches the futex, and a long one stops competing for
+//! a core with the thread whose turn it is. A panic or the step cap sets
+//! the poison flag and unparks every thread so each one unwinds. Park and
+//! unpark carry a token, so a wake-up that lands before its target parks
+//! is not lost.
+//!
 //! The scheduler also supports *seeded abort injection*: at each
 //! transactional access it can force a capacity / conflict / spurious
 //! abort, again as a pure function of the seed, so fallback-path
@@ -45,7 +58,9 @@ mod controlled {
 
     use std::collections::VecDeque;
     use std::panic::AssertUnwindSafe;
-    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+    use std::thread::Thread;
 
     use crate::rng::XorShift64;
 
@@ -111,8 +126,6 @@ mod controlled {
     struct State {
         status: Vec<Status>,
         attached: usize,
-        /// The one virtual thread allowed to run, once all are attached.
-        current: Option<usize>,
         source: Source,
         decisions: Vec<Decision>,
         steps: u64,
@@ -120,14 +133,32 @@ mod controlled {
         seed: u64,
         inject_rng: XorShift64,
         abort_injection: f64,
-        /// Set when a virtual thread panicked: all others unwind at their
-        /// next yield point so the run terminates and reports the panic.
-        poisoned: bool,
     }
 
+    /// [`Inner::turn`] while no virtual thread may run: before the last one
+    /// attaches, after the last one finishes, and once the run is poisoned.
+    const NOBODY: usize = usize::MAX;
+
+    /// How many times a waiting virtual thread re-checks its turn, calling
+    /// `std::thread::yield_now` in between, before it parks. Yielding keeps
+    /// a short wait off the futex path; parking keeps a long one from
+    /// taking CPU from the thread whose turn it is (DESIGN.md §8).
+    const YIELD_BUDGET: u32 = 128;
+
     struct Inner {
+        /// Every scheduling decision is made under this lock.
         state: Mutex<State>,
-        cv: Condvar,
+        /// The one virtual thread allowed to run, or [`NOBODY`]. Written
+        /// only under `state`'s lock; waiters read it without the lock.
+        turn: AtomicUsize,
+        /// Set when a virtual thread panicked or the step cap fired: all
+        /// others unwind at their next yield point (or while waiting) so
+        /// the run terminates and reports the panic. Written only under
+        /// `state`'s lock.
+        poisoned: AtomicBool,
+        /// Each virtual thread's OS thread, recorded at attach, so a
+        /// hand-off wakes exactly the chosen one.
+        threads: Box<[OnceLock<Thread>]>,
     }
 
     /// Message carried by the unwind of threads killed by [`poison`]; the run
@@ -142,41 +173,73 @@ mod controlled {
         }
 
         fn attach(&self, vtid: usize) {
+            self.threads[vtid]
+                .set(std::thread::current())
+                .expect("each virtual thread attaches once");
             let mut st = self.lock();
             assert_eq!(st.status[vtid], Status::NotAttached);
             st.status[vtid] = Status::Runnable;
             st.attached += 1;
             if st.attached == st.status.len() {
                 let first = Self::pick(&mut st);
-                st.current = first;
-                self.cv.notify_all();
+                self.hand_to(st, first);
+            } else {
+                drop(st);
             }
-            self.wait_for_turn(st, vtid);
+            self.wait_for_turn(vtid);
         }
 
-        /// Blocks until `vtid` is the current thread (or unwinds on poison).
-        fn wait_for_turn(&self, mut st: MutexGuard<'_, State>, vtid: usize) {
-            while st.current != Some(vtid) && !st.poisoned {
-                st = self
-                    .cv
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
+        /// Publishes `next` as the turn and wakes exactly that thread. The
+        /// turn is stored under the lock, the wake-up issued after it is
+        /// released.
+        fn hand_to(&self, st: MutexGuard<'_, State>, next: Option<usize>) {
+            self.turn.store(next.unwrap_or(NOBODY), Ordering::Release);
+            drop(st);
+            if let Some(next) = next {
+                self.threads[next].get().expect("a runnable thread has attached").unpark();
             }
-            if st.poisoned && st.current != Some(vtid) {
-                drop(st);
-                std::panic::panic_any(POISON_MSG);
+        }
+
+        /// Blocks until `vtid` holds the turn (or unwinds on poison):
+        /// [`YIELD_BUDGET`] yielding re-checks, then parking. A hand-off
+        /// that lands before the park leaves the thread's unpark token set,
+        /// so the park returns at once and no wake-up is lost.
+        fn wait_for_turn(&self, vtid: usize) {
+            let mut yields = 0;
+            loop {
+                if self.turn.load(Ordering::Acquire) == vtid {
+                    return;
+                }
+                if self.poisoned.load(Ordering::Acquire) {
+                    std::panic::panic_any(POISON_MSG);
+                }
+                if yields < YIELD_BUDGET {
+                    yields += 1;
+                    std::thread::yield_now();
+                } else {
+                    std::thread::park();
+                }
+            }
+        }
+
+        /// Sets the poison flag and wakes every attached thread so each one
+        /// sees it. Called under the lock.
+        fn poison_all(&self) {
+            self.poisoned.store(true, Ordering::Release);
+            for thread in self.threads.iter().filter_map(OnceLock::get) {
+                thread.unpark();
             }
         }
 
         /// Chooses the next runnable thread (None when all finished),
-        /// recording the decision when there was a real choice.
+        /// recording the decision when there was a real choice. Counts and
+        /// then indexes the runnable threads in place: nothing allocates
+        /// but decision-log growth.
         fn pick(st: &mut State) -> Option<usize> {
-            let runnable: Vec<usize> = (0..st.status.len())
-                .filter(|&i| st.status[i] == Status::Runnable)
-                .collect();
-            match runnable.len() {
-                0 => None,
-                1 => Some(runnable[0]),
+            let runnable = |&(_, &s): &(usize, &Status)| s == Status::Runnable;
+            let chosen = match st.status.iter().enumerate().filter(runnable).count() {
+                0 => return None,
+                1 => 0,
                 n => {
                     let chosen = match &mut st.source {
                         Source::Random(rng) => (rng.next_u64() % n as u64) as usize,
@@ -190,14 +253,15 @@ mod controlled {
                         }
                     };
                     st.decisions.push(Decision { chosen, options: n });
-                    Some(runnable[chosen])
+                    chosen
                 }
-            }
+            };
+            st.status.iter().enumerate().filter(runnable).nth(chosen).map(|(vtid, _)| vtid)
         }
 
         fn yield_now(&self, vtid: usize) {
             let mut st = self.lock();
-            if st.poisoned {
+            if self.poisoned.load(Ordering::Relaxed) {
                 drop(st);
                 std::panic::panic_any(POISON_MSG);
             }
@@ -205,8 +269,7 @@ mod controlled {
             if st.steps > st.step_cap {
                 let seed = st.seed;
                 let cap = st.step_cap;
-                st.poisoned = true;
-                self.cv.notify_all();
+                self.poison_all();
                 drop(st);
                 panic!(
                     "deterministic schedule exceeded {cap} steps (livelock?); replay with seed {seed:#x}"
@@ -214,13 +277,12 @@ mod controlled {
             }
             let next = Self::pick(&mut st);
             if next != Some(vtid) {
-                st.current = next;
-                self.cv.notify_all();
-                self.wait_for_turn(st, vtid);
+                self.hand_to(st, next);
+                self.wait_for_turn(vtid);
             }
         }
 
-        fn injected_abort(&self, _vtid: usize) -> Option<InjectedAbort> {
+        fn injected_abort(&self) -> Option<InjectedAbort> {
             let mut st = self.lock();
             let p = st.abort_injection;
             if p <= 0.0 || !st.inject_rng.bernoulli(p) {
@@ -236,18 +298,17 @@ mod controlled {
         fn finish(&self, vtid: usize) {
             let mut st = self.lock();
             st.status[vtid] = Status::Finished;
-            if st.current == Some(vtid) {
-                st.current = Self::pick(&mut st);
+            if self.turn.load(Ordering::Relaxed) == vtid {
+                let next = Self::pick(&mut st);
+                self.hand_to(st, next);
             }
-            self.cv.notify_all();
         }
 
         fn poison(&self, vtid: usize) {
             let mut st = self.lock();
             st.status[vtid] = Status::Finished;
-            st.poisoned = true;
-            st.current = None;
-            self.cv.notify_all();
+            self.turn.store(NOBODY, Ordering::Release);
+            self.poison_all();
         }
     }
 
@@ -264,10 +325,11 @@ mod controlled {
     /// deadlocks (the step cap then reports the seed).
     #[inline]
     pub fn yield_point() {
-        let ctx = CURRENT.with(|c| c.borrow().clone());
-        if let Some((inner, vtid)) = ctx {
-            inner.yield_now(vtid);
-        }
+        CURRENT.with(|c| {
+            if let Some((inner, vtid)) = &*c.borrow() {
+                inner.yield_now(*vtid);
+            }
+        });
     }
 
     /// Consults the run's seeded injection stream; `Some` directs the caller
@@ -275,8 +337,7 @@ mod controlled {
     /// kind. Always `None` outside a controlled run.
     #[inline]
     pub fn injected_abort() -> Option<InjectedAbort> {
-        let ctx = CURRENT.with(|c| c.borrow().clone());
-        ctx.and_then(|(inner, vtid)| inner.injected_abort(vtid))
+        CURRENT.with(|c| c.borrow().as_ref().and_then(|(inner, _)| inner.injected_abort()))
     }
 
     /// Whether the calling thread is running under a controlled schedule.
@@ -304,7 +365,6 @@ mod controlled {
             state: Mutex::new(State {
                 status: vec![Status::NotAttached; n],
                 attached: 0,
-                current: None,
                 source: match &config.guided {
                     Some(choices) => Source::Guided {
                         choices: choices.clone(),
@@ -319,9 +379,10 @@ mod controlled {
                 seed: config.seed,
                 inject_rng: XorShift64::new(config.seed ^ 0x000a_b047_1e57),
                 abort_injection: config.abort_injection,
-                poisoned: false,
             }),
-            cv: Condvar::new(),
+            turn: AtomicUsize::new(NOBODY),
+            poisoned: AtomicBool::new(false),
+            threads: (0..n).map(|_| OnceLock::new()).collect(),
         });
 
         // (vtid, was_poison_unwind, payload) for every panicked body.
@@ -364,8 +425,8 @@ mod controlled {
             std::panic::resume_unwind(payload);
         }
 
-        let st = inner.lock();
-        RunResult { decisions: st.decisions.clone(), steps: st.steps }
+        let mut st = inner.lock();
+        RunResult { decisions: std::mem::take(&mut st.decisions), steps: st.steps }
     }
 
     /// [`run_threads`] with the default configuration for `seed` (random
@@ -581,5 +642,106 @@ mod tests {
         assert!(!is_controlled());
         yield_point();
         assert_eq!(injected_abort(), None);
+    }
+
+    /// Long enough for every waiting peer to spend its yield budget and
+    /// park, on any host.
+    const PARK_PEERS: std::time::Duration = std::time::Duration::from_millis(30);
+
+    /// More virtual threads than cores: waiters outnumber the cores and
+    /// many of them park, and a hand-off must still land on exactly the
+    /// chosen one.
+    #[test]
+    fn six_threads_replay_identically_and_guided_matches() {
+        let run = |config: &SchedConfig| {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let bodies: Vec<_> = (0..6u64)
+                .map(|tid| {
+                    let log = Arc::clone(&log);
+                    move || {
+                        for step in 0..40u64 {
+                            yield_point();
+                            log.lock().unwrap().push((tid, step));
+                        }
+                    }
+                })
+                .collect();
+            let result = run_threads(config, bodies);
+            (result, Arc::try_unwrap(log).unwrap().into_inner().unwrap())
+        };
+        let (first, first_log) = run(&SchedConfig::from_seed(0x6_0ce5));
+        let (again, again_log) = run(&SchedConfig::from_seed(0x6_0ce5));
+        assert_eq!(first_log, again_log);
+        assert_eq!(first.decisions, again.decisions);
+        assert_eq!(first.steps, again.steps);
+        assert_eq!(first.steps, 6 * 40);
+        assert!(first.decisions.iter().any(|d| d.options == 6));
+
+        let choices = first.decisions.iter().map(|d| d.chosen).collect();
+        let (guided, guided_log) =
+            run(&SchedConfig { guided: Some(choices), ..SchedConfig::from_seed(0x6_0ce5) });
+        assert_eq!(first_log, guided_log);
+        assert_eq!(first.decisions, guided.decisions);
+    }
+
+    /// A body that panics while its peers are parked (not merely
+    /// yielding) still wakes them, ends the run, and propagates.
+    #[test]
+    fn panic_with_parked_peers_terminates_and_propagates() {
+        let result = std::panic::catch_unwind(|| {
+            let mut bodies: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(|| {
+                yield_point();
+                std::thread::sleep(PARK_PEERS);
+                panic!("boom while peers park");
+            })];
+            for _ in 0..2 {
+                bodies.push(Box::new(|| loop {
+                    yield_point();
+                }));
+            }
+            // Whatever order the seed picks, the panicking body gets its
+            // turn long before the loopers reach the 5M-step cap.
+            run_threads_seeded(1, bodies);
+        });
+        let payload = result.unwrap_err();
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
+        assert_eq!(msg, "boom while peers park");
+    }
+
+    /// The step cap fires, naming the seed, while the peers are parked.
+    #[test]
+    fn step_cap_fires_with_parked_peers() {
+        let result = std::panic::catch_unwind(|| {
+            let bodies: Vec<_> = (0..3)
+                .map(|_| {
+                    || loop {
+                        std::thread::sleep(PARK_PEERS / 10);
+                        yield_point();
+                    }
+                })
+                .collect();
+            run_threads(&SchedConfig { step_cap: 12, ..SchedConfig::from_seed(0xcab) }, bodies);
+        });
+        let payload = result.unwrap_err();
+        let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("0xcab"), "step-cap panic must name the seed: {msg}");
+    }
+
+    /// Back-to-back short runs: a wake-up lost anywhere in attach,
+    /// hand-off or finish would hang one of them.
+    #[test]
+    fn back_to_back_runs_lose_no_wake_up() {
+        for seed in 0..2_000u64 {
+            let bodies: Vec<_> = (0..3)
+                .map(|_| {
+                    || {
+                        for _ in 0..3 {
+                            yield_point();
+                        }
+                    }
+                })
+                .collect();
+            assert_eq!(run_threads_seeded(seed, bodies).steps, 9, "seed {seed}");
+        }
     }
 }
