@@ -12,16 +12,12 @@
 //!   across the same number of OS threads, one transaction per rank.
 //!
 //! Every cell reports *modeled* ns/tx — the makespan cycle budget
-//! (slowest thread) over [`rh_norec::cost::MODEL_HZ`] — so the ledger
+//! (slowest thread) over [`rh_norec::cost::MODEL_HZ`] — so the table
 //! is a property of the protocols, not of CI host load, and every cell
 //! asserts balance conservation before it reports anything.
 //!
-//! Full runs write `BENCH_9.json`: the committed `BENCH_8.json` rows
-//! carried verbatim (so the committed BENCH_8 → BENCH_9 diff joins and
-//! gates every existing cell at zero delta) plus the new `batch/*`
-//! cells, which land in the diff's `unmatched` section — informative,
-//! never gated. The gating teeth for the new mode are the **pinned
-//! sentinel** instead, asserted on every full run (`--smoke` prints its
+//! The race is printed, never written to disk. Its gating teeth are the
+//! **pinned sentinel**, asserted on every full run (`--smoke` prints its
 //! verdict: its free-running cells depend on host load):
 //!
 //! * the 1-thread batch cell is within 10% of sequential execution
@@ -36,8 +32,6 @@ use rh_norec::{Algorithm, TmConfig, TmRuntime};
 use sim_htm::{Htm, HtmConfig};
 use sim_mem::{Heap, HeapConfig};
 use tm_workloads::batch::{BatchWorkload, TransferBatch, TransferBatchConfig};
-
-use crate::ledger::{self, Value};
 
 /// Engine label of the batch-executor rows.
 pub const BATCH_ENGINE: &str = "Batch-STM";
@@ -56,7 +50,7 @@ pub struct BatchArgs {
     /// Workload generator seed.
     pub seed: u64,
     /// Smoke scale: a small batch, thread counts {1, 4}, sentinel
-    /// verdict printed, not asserted, no ledger write.
+    /// verdict printed, not asserted.
     pub smoke: bool,
     /// Machine-readable output.
     pub csv: bool,
@@ -279,81 +273,10 @@ fn print_cells(cells: &[Cell], csv: bool) {
     }
 }
 
-/// One carried-over ledger row: algorithm, scenario, ns/tx, optional txs.
-type CarriedRow = (String, String, f64, Option<u64>);
-
-/// Parses the committed `BENCH_8.json` rows for verbatim carry-over.
-///
-/// # Errors
-///
-/// Reports a missing or malformed document.
-fn carried_rows(doc: &str) -> Result<Vec<CarriedRow>, String> {
-    let current = ledger::object_after(doc, "current")?;
-    let rows = ledger::array_after(current, "rows")?;
-    ledger::objects(rows)
-        .into_iter()
-        .map(|obj| {
-            let alg = ledger::string_field(obj, "algorithm")?;
-            let scenario = ledger::string_field(obj, "scenario")?;
-            let ns = ledger::number_field(obj, "ns_per_tx")?;
-            let txs = ledger::number_field(obj, "txs").ok().map(|t| t as u64);
-            Ok((alg, scenario, ns, txs))
-        })
-        .collect()
-}
-
-/// Serializes the complete BENCH_9 document: the carried BENCH_8 rows
-/// followed by the batch-race cells.
-fn bench9_json(carried: &[CarriedRow], cells: &[Cell]) -> String {
-    let mut rows: Vec<Vec<(&str, Value)>> = Vec::new();
-    for (alg, scenario, ns, txs) in carried {
-        let mut row = vec![
-            ("algorithm", Value::Str(alg.clone())),
-            ("scenario", Value::Str(scenario.clone())),
-            ("ns_per_tx", Value::Num(*ns, 2)),
-        ];
-        if let Some(txs) = txs {
-            row.push(("txs", Value::Int(*txs)));
-        }
-        rows.push(row);
-    }
-    for c in cells {
-        rows.push(vec![
-            ("algorithm", Value::Str(c.algorithm.clone())),
-            ("scenario", Value::Str(c.scenario.clone())),
-            ("ns_per_tx", Value::Num(c.ns_per_tx, 2)),
-            ("txs", Value::Int(c.txs)),
-        ]);
-    }
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"batch\",\n");
-    out.push_str(
-        "  \"description\": \"batch execution mode ledger: the committed BENCH_8 rows \
-         carried verbatim (so the BENCH_8 -> BENCH_9 committed diff joins and gates every \
-         existing cell) plus the batch race — the Block-STM-style executor, sequential \
-         rank-order execution, and the five interactive engines on the identical zipfian \
-         transfer batch (scenario batch/transfer@t<N>, modeled makespan ns/tx)\",\n",
-    );
-    out.push_str(&format!(
-        "  \"instrumentation_compiled\": {},\n",
-        rh_norec::INSTRUMENTED
-    ));
-    out.push_str("  \"current\": {\n");
-    out.push_str(
-        "    \"engine\": \"Block-STM-style batch executor vs the interactive session \
-         engines (batch/* rows; the rest re-states BENCH_8)\",\n",
-    );
-    out.push_str("    \"rows\": ");
-    out.push_str(&ledger::rows_array(&rows, "      ", "    "));
-    out.push_str("\n  }\n");
-    out.push_str("}\n");
-    out
-}
 
 /// CLI entry for `rh-bench batch`: runs the race, prints it, and checks
-/// the pinned sentinel. Full runs assert it and write `BENCH_9.json`;
-/// smoke runs print its verdict.
+/// the pinned sentinel. Full runs assert it; smoke runs print its
+/// verdict.
 pub fn run(args: &BatchArgs) {
     let args = if args.smoke {
         BatchArgs {
@@ -379,7 +302,7 @@ pub fn run(args: &BatchArgs) {
             workload_config(&args).accounts,
             args.seed,
             args.threads,
-            if args.smoke { " (smoke: sentinel printed, no ledger write)" } else { "" },
+            if args.smoke { " (smoke: sentinel printed)" } else { "" },
         );
     }
     let cells = run_cells(&args);
@@ -396,24 +319,5 @@ pub fn run(args: &BatchArgs) {
         for v in &violations {
             println!("{v} (smoke: informative)");
         }
-    }
-    if args.smoke {
-        return;
-    }
-    let carried = match std::fs::read_to_string("BENCH_8.json") {
-        Ok(doc) => carried_rows(&doc).unwrap_or_else(|e| {
-            eprintln!("BENCH_8.json unreadable ({e}); BENCH_9 will carry no prior rows");
-            Vec::new()
-        }),
-        Err(e) => {
-            eprintln!("BENCH_8.json missing ({e}); BENCH_9 will carry no prior rows");
-            Vec::new()
-        }
-    };
-    let json = bench9_json(&carried, &cells);
-    let path = "BENCH_9.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }

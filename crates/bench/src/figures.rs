@@ -13,7 +13,6 @@ use tm_workloads::stamp::{
 use tm_workloads::Workload;
 
 use crate::driver::{run_cell, CellConfig, CellResult};
-use crate::ledger;
 use crate::report;
 
 /// How large to run: `Paper` matches the paper's parameters, `Quick`
@@ -202,9 +201,7 @@ pub fn run_figure(
 
 /// The ablation grid of DESIGN.md: design choices the paper calls out,
 /// including the single-vs-sharded commit-clock comparison (each clocked
-/// engine at `clock_shards = 1` and `= 4`, same workload). Besides the
-/// table, the grid lands in `ABLATE.json` via the shared [`crate::ledger`]
-/// emitter so the rows stay machine-readable.
+/// engine at `clock_shards = 1` and `= 4`, same workload).
 pub fn run_ablations(scale: Scale) {
     let threads = 8;
     let duration = scale.duration();
@@ -242,7 +239,6 @@ pub fn run_ablations(scale: Scale) {
         "{:<34} {:>12} {:>10} {:>10} {:>9} {:>8} {:>8}",
         "variant", "ops/s", "conf/op", "cap/op", "slow%", "prefix%", "postfix%"
     );
-    let mut ledger_rows: Vec<Vec<(&str, ledger::Value)>> = Vec::new();
     for (label, alg, overrides) in cases {
         let config = CellConfig {
             duration,
@@ -260,28 +256,6 @@ pub fn run_ablations(scale: Scale) {
             r.tm.prefix_success_ratio() * 100.0,
             r.tm.postfix_success_ratio() * 100.0,
         );
-        ledger_rows.push(vec![
-            ("variant", ledger::Value::Str(label.to_string())),
-            ("ops_per_sec", ledger::Value::Num(r.throughput(), 0)),
-            ("conflicts_per_op", ledger::Value::Num(r.conflicts_per_op(), 4)),
-            ("capacity_per_op", ledger::Value::Num(r.capacity_per_op(), 4)),
-            ("slow_path_pct", ledger::Value::Num(r.tm.slow_path_ratio() * 100.0, 1)),
-        ]);
-    }
-
-    let mut doc = String::new();
-    doc.push_str("{\n  \"benchmark\": \"ablate\",\n");
-    doc.push_str(&format!(
-        "  \"workload\": \"{}\",\n",
-        ledger::escape(&format!("RBTree {size} nodes, 10% mutations, {threads} threads"))
-    ));
-    doc.push_str("  \"rows\": ");
-    doc.push_str(&ledger::rows_array(&ledger_rows, "    ", "  "));
-    doc.push_str("\n}\n");
-    let path = "ABLATE.json";
-    match std::fs::write(path, &doc) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }
 

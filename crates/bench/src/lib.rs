@@ -9,6 +9,9 @@
 //! 4. the slow-path execution ratio,
 //! 5. RH NOrec's HTM prefix/postfix success ratios.
 //!
+//! Every target prints to stdout and writes no file. The regression gate
+//! for the model lives in the repo benchmark (`benchmark/run.sh compare`).
+//!
 //! ## Reading throughput on a small host
 //!
 //! Worker threads timeshare the host's cores, so raw wall-clock
@@ -25,10 +28,8 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod diff;
 pub mod driver;
 pub mod figures;
-pub mod ledger;
 pub mod overhead;
 pub mod policy_grid;
 pub mod report;

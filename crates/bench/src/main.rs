@@ -1,23 +1,23 @@
-//! The figure-regeneration binary.
+//! The figure-regeneration binary. Every target prints to stdout and
+//! writes no file.
 //!
 //! ```text
 //! cargo run -p rh-bench --release -- fig4            # Figure 4 (RBTree)
 //! cargo run -p rh-bench --release -- fig5 fig6       # the STAMP figures
 //! cargo run -p rh-bench --release -- summary         # headline ratios
 //! cargo run -p rh-bench --release -- ablate          # design ablations
+//! cargo run -p rh-bench --release -- ablate --policy # adaptive-vs-static policy grid
 //! cargo run -p rh-bench --release -- all --paper     # everything, paper scale
-//! cargo run -p rh-bench --release -- diff BENCH_2.json BENCH_3.json
 //! ```
 //!
 //! Flags: `--paper` (full workload sizes; default is a quick scale),
 //! `--csv` (machine-readable output), `--threads 1,4,16` (replace the
-//! sweep), `--duration-ms 500` (per-cell interval), `--best-of N` (with
-//! `overhead`: merge per-cell minima over N runs), `--fail` (with
-//! `diff`: exit nonzero when a cell regressed past the threshold).
+//! sweep), `--duration-ms 500` (per-cell interval), `--policy` (with
+//! `ablate`: run the policy grid instead of the design ablations).
 
 use rh_bench::batch::BatchArgs;
 use rh_bench::figures::{self, Overrides, Scale};
-use rh_bench::policy_grid::{self, PolicyChoice};
+use rh_bench::policy_grid;
 use rh_bench::service::{self, ModeChoice, SchedChoice, ServiceArgs};
 use rh_norec::Algorithm;
 
@@ -29,16 +29,13 @@ fn main() {
         Scale::Quick
     };
     let csv = args.iter().any(|a| a == "--csv");
-    let mut best_of: u32 = 1;
+    let policy = args.iter().any(|a| a == "--policy");
     let mut overrides = Overrides::default();
     let mut service_args = ServiceArgs { csv, ..ServiceArgs::default() };
-    let mut policy: Option<PolicyChoice> = None;
     let mut requests_flag: Option<usize> = None;
     let mut seed_flag: Option<u64> = None;
     let mut accounts_flag: Option<u64> = None;
     let mut zipf_flag: Option<f64> = None;
-    let mut threshold = rh_bench::diff::DEFAULT_THRESHOLD_PCT;
-    let mut cell_thresholds: Vec<(String, f64)> = Vec::new();
     let mut skip_next = false;
     let mut targets: Vec<&str> = Vec::new();
     for (i, arg) in args.iter().enumerate() {
@@ -81,34 +78,6 @@ fn main() {
                 overrides.duration = Some(std::time::Duration::from_millis(ms));
                 skip_next = true;
             }
-            "--best-of" => {
-                let n = args.get(i + 1).unwrap_or_else(|| usage("--best-of needs a count"));
-                best_of = n.parse().unwrap_or_else(|_| usage("bad --best-of count"));
-                skip_next = true;
-            }
-            "--policy" => {
-                let v = args.get(i + 1).unwrap_or_else(|| usage("--policy needs adaptive|static|all"));
-                policy = Some(PolicyChoice::parse(v).unwrap_or_else(|| {
-                    usage(&format!("bad --policy value `{v}` (adaptive|static|all)"))
-                }));
-                skip_next = true;
-            }
-            "--threshold" => {
-                let v = args.get(i + 1).unwrap_or_else(|| usage("--threshold needs a percent"));
-                threshold = v.parse().unwrap_or_else(|_| usage("bad --threshold percent"));
-                skip_next = true;
-            }
-            "--cell-threshold" => {
-                let v = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| usage("--cell-threshold needs scenario=pct"));
-                let (scenario, pct) = v
-                    .split_once('=')
-                    .unwrap_or_else(|| usage("--cell-threshold needs scenario=pct"));
-                let pct: f64 = pct.parse().unwrap_or_else(|_| usage("bad --cell-threshold percent"));
-                cell_thresholds.push((scenario.to_string(), pct));
-                skip_next = true;
-            }
             "--accounts" => {
                 let n = args.get(i + 1).unwrap_or_else(|| usage("--accounts needs a count"));
                 accounts_flag = Some(n.parse().unwrap_or_else(|_| usage("bad account count")));
@@ -138,7 +107,7 @@ fn main() {
                 skip_next = true;
             }
             "--smoke" => service_args.smoke = true,
-            "--paper" | "--csv" | "--fail" => {}
+            "--paper" | "--csv" | "--policy" => {}
             a if a.starts_with("--") => usage(&format!("unknown flag {a}")),
             a => targets.push(a),
         }
@@ -146,17 +115,6 @@ fn main() {
     if targets.is_empty() {
         targets.push("all");
     }
-    if targets[0] == "diff" {
-        let &[before, after] = &targets[1..] else {
-            usage("diff needs exactly two BENCH_*.json paths");
-        };
-        let fail = args.iter().any(|a| a == "--fail");
-        rh_bench::diff::run(before, after, threshold, fail, &cell_thresholds);
-        return;
-    }
-    // `service --policy adaptive` runs the engines under the adaptive
-    // layer (print-only; the adaptive cell is ledgered by BENCH_8).
-    service_args.policy = matches!(policy, Some(PolicyChoice::Adaptive | PolicyChoice::All));
     let algorithms = Algorithm::PAPER_SET;
     // The service pool reuses the global --threads list (first entry).
     if let Some(list) = &overrides.threads {
@@ -171,12 +129,10 @@ fn main() {
             "fig5" => figures::run_figure("Figure 5", &figures::figure5(scale), &algorithms, scale, csv, &overrides),
             "fig6" => figures::run_figure("Figure 6", &figures::figure6(scale), &algorithms, scale, csv, &overrides),
             "extras" => figures::run_figure("Extras", &figures::extras(scale), &algorithms, scale, csv, &overrides),
-            "ablate" => match policy {
-                None => figures::run_ablations(scale),
-                Some(choice) => policy_grid::run(scale, choice, csv, &service_args),
-            },
+            "ablate" if policy => policy_grid::run(scale, csv),
+            "ablate" => figures::run_ablations(scale),
             "summary" => figures::run_summary(scale),
-            "overhead" => rh_bench::overhead::run(scale, csv, best_of),
+            "overhead" => rh_bench::overhead::run(scale, csv),
             "service" => service::run(&service_args),
             "batch" => {
                 let defaults = BatchArgs::default();
@@ -199,7 +155,7 @@ fn main() {
             }
             other => {
                 eprintln!(
-                    "unknown target `{other}`; use fig4|fig5|fig6|extras|ablate|summary|overhead|service|batch|diff|all"
+                    "unknown target `{other}`; use fig4|fig5|fig6|extras|ablate|summary|overhead|service|batch|all"
                 );
                 std::process::exit(2);
             }
@@ -210,14 +166,12 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!("usage: rh-bench [fig4|fig5|fig6|extras|ablate|summary|overhead|service|batch|all]... \
-       [--paper] [--csv] [--threads 1,2,4] [--duration-ms 500] [--best-of N]\n       \
-       rh-bench ablate --policy adaptive|static|all   (all: writes BENCH_8.json)\n       \
+       [--paper] [--csv] [--threads 1,2,4] [--duration-ms 500]\n       \
+       rh-bench ablate --policy   (adaptive-vs-static policy grid)\n       \
        rh-bench service [--engine NAME] [--threads N] [--requests N] [--seed S] [--smoke] \
-       [--sched static|steal] [--mode session|batch] [--policy adaptive]   \
-       (full default runs write BENCH_10.json)\n       \
+       [--sched static|steal] [--mode session|batch]\n       \
        rh-bench batch [--threads 1,2,4,8,16] [--requests N] [--accounts N] [--zipf THETA] \
-       [--seed S] [--smoke]   (full runs write BENCH_9.json)\n       \
-       rh-bench diff <before.json> <after.json> [--fail] [--threshold PCT] \
-       [--cell-threshold key=pct]...   (key: alg/scenario | scenario | *suffix)");
+       [--seed S] [--smoke]\n       \
+       every target prints to stdout and writes no file");
     std::process::exit(2);
 }

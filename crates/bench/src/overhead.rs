@@ -36,11 +36,7 @@
 //!   *modeled* ns/tx (cycle budget over [`rh_norec::cost::MODEL_HZ`]),
 //!   so the comparison holds on hosts with fewer cores than workers.
 //!
-//! Results go to stdout (table or `--csv`) and to `BENCH_4.json`, which
-//! also embeds the single-clock baseline (the `current` rows of the
-//! committed `BENCH_3.json`, measured by this same harness just before
-//! the sharded-clock engine landed), so the before/after comparison
-//! survives in machine-readable form.
+//! Results go to stdout (table or `--csv`) and nowhere else.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,16 +46,11 @@ use sim_htm::{Htm, HtmConfig};
 use sim_mem::{Addr, Heap, HeapConfig, WORDS_PER_LINE};
 
 use crate::figures::Scale;
-use crate::ledger;
-
-/// Transactional accesses per transaction in the `read` / `read_write` /
-/// `write_heavy` scenarios (kept from BENCH_2 for comparability).
-pub const ACCESSES_PER_TX: u64 = 16;
 
 /// One benchmark scenario: body shape plus machine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioSpec {
-    /// Scenario name (stable across BENCH files).
+    /// Scenario name (stable across revisions).
     pub name: &'static str,
     /// Transactional accesses per transaction.
     pub accesses: u64,
@@ -178,63 +169,6 @@ pub const SCENARIOS: &[ScenarioSpec] = &[
         modeled: true,
     },
 ];
-
-/// Per-op numbers captured **before** the sharded-clock engine: the
-/// `current` rows of the committed `BENCH_3.json`, measured on the CI
-/// container by this same harness against the single-word-clock engine
-/// (recycled txlog arenas, coalescing indexed write-set + bloom, seeded
-/// backoff). Units are nanoseconds. Kept as data so `BENCH_4.json`
-/// always reports the before/after pair.
-const BASELINE_SINGLE_CLOCK: &[(&str, &str, f64, f64)] = &[
-    ("Lock Elision", "read", 871.12, 54.445),
-    ("Lock Elision", "read_write", 1285.45, 80.341),
-    ("Lock Elision", "write_heavy", 523.20, 32.700),
-    ("Lock Elision", "read_after_write", 547.68, 17.115),
-    ("Lock Elision", "contended", 289.03, 144.515),
-    ("NOrec", "read", 172.97, 10.811),
-    ("NOrec", "read_write", 317.72, 19.857),
-    ("NOrec", "write_heavy", 496.89, 31.055),
-    ("NOrec", "read_after_write", 577.46, 18.045),
-    ("NOrec", "contended", 135.91, 67.954),
-    ("NOrec-Lazy", "read", 205.91, 12.869),
-    ("NOrec-Lazy", "read_write", 386.92, 24.183),
-    ("NOrec-Lazy", "write_heavy", 240.06, 15.003),
-    ("NOrec-Lazy", "read_after_write", 713.43, 22.295),
-    ("NOrec-Lazy", "contended", 131.46, 65.728),
-    ("TL2", "read", 148.43, 9.277),
-    ("TL2", "read_write", 401.92, 25.120),
-    ("TL2", "write_heavy", 551.12, 34.445),
-    ("TL2", "read_after_write", 836.53, 26.141),
-    ("TL2", "contended", 97.31, 48.657),
-    ("HY-NOrec", "read", 884.65, 55.291),
-    ("HY-NOrec", "read_write", 1440.59, 90.037),
-    ("HY-NOrec", "write_heavy", 612.48, 38.280),
-    ("HY-NOrec", "read_after_write", 693.15, 21.661),
-    ("HY-NOrec", "contended", 407.48, 203.738),
-    ("HY-NOrec-Lazy", "read", 853.50, 53.344),
-    ("HY-NOrec-Lazy", "read_write", 1388.03, 86.752),
-    ("HY-NOrec-Lazy", "write_heavy", 355.14, 22.196),
-    ("HY-NOrec-Lazy", "read_after_write", 803.24, 25.101),
-    ("HY-NOrec-Lazy", "contended", 412.94, 206.472),
-    ("RH-NOrec", "read", 879.63, 54.977),
-    ("RH-NOrec", "read_write", 1328.17, 83.011),
-    ("RH-NOrec", "write_heavy", 644.36, 40.273),
-    ("RH-NOrec", "read_after_write", 767.01, 23.969),
-    ("RH-NOrec", "contended", 354.40, 177.200),
-    ("RH-NOrec-Postfix", "read", 808.89, 50.556),
-    ("RH-NOrec-Postfix", "read_write", 1422.12, 88.882),
-    ("RH-NOrec-Postfix", "write_heavy", 651.99, 40.750),
-    ("RH-NOrec-Postfix", "read_after_write", 731.71, 22.866),
-    ("RH-NOrec-Postfix", "contended", 383.10, 191.548),
-];
-
-/// Engine description of the baseline rows above.
-const BASELINE_ENGINE: &str =
-    "single-word commit clock (recycled txlog arenas, indexed write-set + bloom, seeded backoff)";
-
-/// Engine description of the current rows.
-const CURRENT_ENGINE: &str = "sharded commit clock: per-core sequence lanes + aggregate epoch \
-     (contended_sharded at clock_shards=4, every other cell at clock_shards=1)";
 
 /// One measured cell.
 #[derive(Clone, Debug)]
@@ -530,92 +464,9 @@ pub fn run_matrix(scale: Scale) -> Vec<OverheadRow> {
     rows
 }
 
-/// A row set in the shared ledger's emission shape.
-fn ledger_rows<'a>(
-    rows: &'a [(&'a str, &'a str, f64, f64, Option<u64>)],
-) -> Vec<Vec<(&'a str, ledger::Value)>> {
-    rows.iter()
-        .map(|&(alg, scenario, ns_tx, ns_access, txs)| {
-            let mut row = vec![
-                ("algorithm", ledger::Value::Str(alg.to_string())),
-                ("scenario", ledger::Value::Str(scenario.to_string())),
-                ("ns_per_tx", ledger::Value::Num(ns_tx, 2)),
-                ("ns_per_access", ledger::Value::Num(ns_access, 3)),
-            ];
-            if let Some(txs) = txs {
-                row.push(("txs", ledger::Value::Int(txs)));
-            }
-            row
-        })
-        .collect()
-}
-
-/// Serializes the result (plus the embedded single-clock baseline) as the
-/// `BENCH_4.json` document.
-pub fn to_json(rows: &[OverheadRow]) -> String {
-    let current: Vec<(&str, &str, f64, f64, Option<u64>)> = rows
-        .iter()
-        .map(|r| (r.algorithm, r.scenario, r.ns_per_tx, r.ns_per_access, Some(r.txs)))
-        .collect();
-    let baseline: Vec<(&str, &str, f64, f64, Option<u64>)> = BASELINE_SINGLE_CLOCK
-        .iter()
-        .map(|&(alg, scenario, ns_tx, ns_access)| (alg, scenario, ns_tx, ns_access, None))
-        .collect();
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"overhead\",\n");
-    out.push_str(
-        "  \"description\": \"per-op cost through the public Tx handle; write_heavy and read_after_write run with HTM disabled (software slow paths), contended runs 4 threads on one cell; contended_disjoint/contended_sharded run 4 threads on private line-padded cells with the fallback counter pinned, at clock_shards 1 and 4\",\n",
-    );
-    out.push_str(&format!(
-        "  \"instrumentation_compiled\": {},\n",
-        rh_norec::INSTRUMENTED
-    ));
-    out.push_str("  \"baseline_single_clock\": {\n");
-    out.push_str(&format!("    \"engine\": \"{}\",\n", ledger::escape(BASELINE_ENGINE)));
-    out.push_str("    \"rows\": ");
-    out.push_str(&ledger::rows_array(&ledger_rows(&baseline), "      ", "    "));
-    out.push_str("\n  },\n");
-    out.push_str("  \"current\": {\n");
-    out.push_str(&format!("    \"engine\": \"{}\",\n", ledger::escape(CURRENT_ENGINE)));
-    out.push_str("    \"rows\": ");
-    out.push_str(&ledger::rows_array(&ledger_rows(&current), "      ", "    "));
-    out.push_str("\n  }\n");
-    out.push_str("}\n");
-    out
-}
-
-/// Runs the matrix `best_of` times and merges per-cell minima: the same
-/// noise policy as [`LiveCell::pass`]'s min-of-batches, extended across
-/// whole runs, so a load burst spanning one run cannot inflate a cell
-/// that a later run measures cleanly. Transaction counts accumulate;
-/// the modeled cells are cycle-derived and effectively run-invariant.
-pub fn run_matrix_best_of(scale: Scale, best_of: u32) -> Vec<OverheadRow> {
-    let mut best = run_matrix(scale);
-    for _ in 1..best_of {
-        let next = run_matrix(scale);
-        for (acc, row) in best.iter_mut().zip(&next) {
-            assert_eq!(
-                (acc.algorithm, acc.scenario),
-                (row.algorithm, row.scenario),
-                "run_matrix row order must be stable across runs"
-            );
-            acc.txs += row.txs;
-            if row.ns_per_tx < acc.ns_per_tx {
-                acc.ns_per_tx = row.ns_per_tx;
-                acc.ns_per_access = row.ns_per_access;
-            }
-        }
-    }
-    best
-}
-
-/// Runs the matrix (merged over `best_of` runs), prints it (`--csv` for
-/// machine-readable rows), and writes `BENCH_4.json` into the current
-/// directory.
-pub fn run(scale: Scale, csv: bool, best_of: u32) {
-    let rows = run_matrix_best_of(scale, best_of.max(1));
+/// Runs the matrix and prints it (`--csv` for machine-readable rows).
+pub fn run(scale: Scale, csv: bool) {
+    let rows = run_matrix(scale);
 
     if csv {
         println!("algorithm,scenario,txs,ns_per_tx,ns_per_access");
@@ -640,19 +491,5 @@ pub fn run(scale: Scale, csv: bool, best_of: u32) {
                 r.algorithm, r.scenario, r.txs, r.ns_per_tx, r.ns_per_access
             );
         }
-        if !BASELINE_SINGLE_CLOCK.is_empty() {
-            println!();
-            println!("single-clock baseline ({BASELINE_ENGINE}):");
-            for &(alg, scenario, ns_tx, ns_access) in BASELINE_SINGLE_CLOCK {
-                println!("{alg:<18} {scenario:<18} {:>10} {ns_tx:>12.2} {ns_access:>14.3}", "-");
-            }
-        }
-    }
-
-    let json = to_json(&rows);
-    let path = "BENCH_4.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }

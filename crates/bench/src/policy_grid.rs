@@ -1,6 +1,6 @@
 //! `rh-bench ablate --policy`: the adaptive-vs-static policy grid.
 //!
-//! BENCH_4 showed that no single static clock setting wins everywhere:
+//! The overhead matrix shows that no single static clock setting wins everywhere:
 //! `clock_shards = 4` removes the commit-clock metadata conflicts that
 //! dominate the disjoint contended cells (~66% on `contended_disjoint`)
 //! but taxes every software validation with extra lane reads. The
@@ -28,7 +28,8 @@
 //! off), `static4` (`clock_shards = 4`, policy off), and `adaptive`
 //! (`clock_shards = 4` with every controller on). `static1` wins
 //! `contended`, `static4` wins `contended_disjoint` — the acceptance
-//! question is whether `adaptive` tracks the winner on both.
+//! question is whether `adaptive` tracks the winner on both, so every
+//! run measures all three and prints the verdict.
 
 use std::sync::Arc;
 
@@ -37,31 +38,6 @@ use sim_htm::{Htm, HtmConfig};
 use sim_mem::{Addr, Heap, HeapConfig, WORDS_PER_LINE};
 
 use crate::figures::Scale;
-use crate::ledger;
-use crate::service::{self, ServiceArgs};
-
-/// Which side(s) of the grid `ablate --policy` runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PolicyChoice {
-    /// Only the two static configurations.
-    Static,
-    /// Only the adaptive configuration.
-    Adaptive,
-    /// The full grid plus the BENCH_8 ledger write.
-    All,
-}
-
-impl PolicyChoice {
-    /// Parses the `--policy` flag value.
-    pub fn parse(s: &str) -> Option<PolicyChoice> {
-        match s {
-            "static" => Some(PolicyChoice::Static),
-            "adaptive" => Some(PolicyChoice::Adaptive),
-            "all" => Some(PolicyChoice::All),
-            _ => None,
-        }
-    }
-}
 
 /// Transaction body shape of one sentinel cell.
 #[derive(Clone, Copy, Debug)]
@@ -183,7 +159,8 @@ fn run_grid_cell(cell: &GridCell, config: &GridConfig, scale: Scale) -> GridRow 
     };
     if cell.pin_fallback {
         // With the counter at 0 hardware commits skip the clock bump
-        // entirely and the cell would measure nothing (see BENCH_4).
+        // entirely and the cell would measure nothing (see the overhead
+        // matrix's `contended_disjoint` cell).
         heap.store(rt.globals().num_of_fallbacks, 1);
     }
 
@@ -244,28 +221,19 @@ fn run_grid_cell(cell: &GridCell, config: &GridConfig, scale: Scale) -> GridRow 
     GridRow { cell: cell.name, config: config.name, txs, ns_per_tx }
 }
 
-/// Runs the grid (filtered by `choice`) and returns its rows in
+/// Runs every configuration on every cell and returns the rows in
 /// cell-major order.
-pub fn run_grid(scale: Scale, choice: PolicyChoice) -> Vec<GridRow> {
-    let configs: Vec<&GridConfig> = CONFIGS
-        .iter()
-        .filter(|c| match choice {
-            PolicyChoice::Static => !c.adaptive,
-            PolicyChoice::Adaptive => c.adaptive,
-            PolicyChoice::All => true,
-        })
-        .collect();
+pub fn run_grid(scale: Scale) -> Vec<GridRow> {
     let mut rows = Vec::new();
     for cell in CELLS {
-        for config in &configs {
+        for config in CONFIGS {
             rows.push(run_grid_cell(cell, config, scale));
         }
     }
     rows
 }
 
-/// Prints the grid and, when both sides ran, the adaptive-vs-static
-/// verdict per cell.
+/// Prints the grid and the adaptive-vs-static verdict per cell.
 pub fn print_grid(rows: &[GridRow], csv: bool) {
     if csv {
         println!("cell,config,txs,ns_per_tx");
@@ -279,18 +247,14 @@ pub fn print_grid(rows: &[GridRow], csv: bool) {
     for r in rows {
         println!("{:<20} {:<10} {:>10} {:>12.2}", r.cell, r.config, r.txs, r.ns_per_tx);
     }
-    // The verdict only makes sense when the full grid ran.
     for cell in CELLS {
         let find = |config: &str| {
             rows.iter()
                 .find(|r| r.cell == cell.name && r.config == config)
                 .map(|r| r.ns_per_tx)
+                .expect("the grid runs every configuration on every cell")
         };
-        let (Some(s1), Some(s4), Some(ad)) =
-            (find("static1"), find("static4"), find("adaptive"))
-        else {
-            continue;
-        };
+        let (s1, s4, ad) = (find("static1"), find("static4"), find("adaptive"));
         let best = s1.min(s4);
         println!(
             "{:<20} adaptive vs best-static {:+.1}%  vs static1 {:+.1}%  vs static4 {:+.1}%",
@@ -302,103 +266,7 @@ pub fn print_grid(rows: &[GridRow], csv: bool) {
     }
 }
 
-/// Grid rows in the shared ledger's emission shape: `algorithm` is the
-/// engine label, `scenario` is `cell@config` so the policy rows never
-/// collide with the overhead matrix's plain cell names.
-pub fn ledger_rows(rows: &[GridRow]) -> Vec<(String, String, f64, Option<u64>)> {
-    rows.iter()
-        .map(|r| {
-            (
-                Algorithm::RhNorec.label().to_string(),
-                format!("{}@{}", r.cell, r.config),
-                r.ns_per_tx,
-                Some(r.txs),
-            )
-        })
-        .collect()
-}
-
-/// CLI entry for `ablate --policy`: runs the grid (filtered by
-/// `choice`) and prints it; with [`PolicyChoice::All`], additionally
-/// re-measures the overhead matrix and the service tier (static and
-/// adaptive) and writes the assembled `BENCH_8.json`.
-pub fn run(scale: Scale, choice: PolicyChoice, csv: bool, service_args: &ServiceArgs) {
-    let grid = run_grid(scale, choice);
-    print_grid(&grid, csv);
-    if choice != PolicyChoice::All {
-        return;
-    }
-
-    eprintln!("bench8: re-measuring the overhead matrix (BENCH_4 keys)...");
-    let overhead_rows = crate::overhead::run_matrix_best_of(scale, 1);
-    eprintln!("bench8: re-measuring the service tier (BENCH_7 keys)...");
-    let static_service = service::collect(&ServiceArgs { policy: false, ..*service_args });
-    eprintln!("bench8: measuring the adaptive service cell...");
-    let adaptive_service = service::collect(&ServiceArgs {
-        policy: true,
-        engine: Some(Algorithm::RhNorec),
-        ..*service_args
-    });
-
-    let mut rows: Vec<(String, String, f64, Option<u64>)> = Vec::new();
-    for r in &overhead_rows {
-        rows.push((r.algorithm.to_string(), r.scenario.to_string(), r.ns_per_tx, Some(r.txs)));
-    }
-    for (alg, scenario, ns) in static_service.iter().chain(&adaptive_service) {
-        rows.push((alg.clone(), scenario.clone(), *ns, None));
-    }
-    rows.extend(ledger_rows(&grid));
-
-    let json = bench8_json(&rows);
-    let path = "BENCH_8.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// Serializes the complete BENCH_8 document: the policy grid, a fresh
-/// overhead matrix (same `(algorithm, scenario)` keys as BENCH_4's
-/// `current` rows, so `rh-bench diff BENCH_4.json BENCH_8.json` joins
-/// every overhead cell), and the service-tier rows (same keys as
-/// BENCH_7, plus the `@adaptive` cell).
-pub fn bench8_json(rows: &[(String, String, f64, Option<u64>)]) -> String {
-    let ledger_rows: Vec<Vec<(&str, ledger::Value)>> = rows
-        .iter()
-        .map(|(alg, scenario, ns, txs)| {
-            let mut row = vec![
-                ("algorithm", ledger::Value::Str(alg.clone())),
-                ("scenario", ledger::Value::Str(scenario.clone())),
-                ("ns_per_tx", ledger::Value::Num(*ns, 2)),
-            ];
-            if let Some(txs) = txs {
-                row.push(("txs", ledger::Value::Int(*txs)));
-            }
-            row
-        })
-        .collect();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"policy\",\n");
-    out.push_str(
-        "  \"description\": \"adaptive policy layer ledger: the overhead matrix rows \
-         (keys shared with BENCH_4) and the service-tier percentile rows (keys shared \
-         with BENCH_7) re-measured on the policy-capable engine with the policy off, \
-         plus the RH NOrec policy grid (scenario cell@config, modeled ns/tx, configs \
-         static1 / static4 / adaptive) and the service @adaptive cell\",\n",
-    );
-    out.push_str(&format!(
-        "  \"instrumentation_compiled\": {},\n",
-        rh_norec::INSTRUMENTED
-    ));
-    out.push_str("  \"current\": {\n");
-    out.push_str(
-        "    \"engine\": \"sharded commit clock + adaptive policy layer (default off; \
-         policy rows label their configuration)\",\n",
-    );
-    out.push_str("    \"rows\": ");
-    out.push_str(&ledger::rows_array(&ledger_rows, "      ", "    "));
-    out.push_str("\n  }\n");
-    out.push_str("}\n");
-    out
+/// CLI entry for `ablate --policy`: runs the full grid and prints it.
+pub fn run(scale: Scale, csv: bool) {
+    print_grid(&run_grid(scale), csv);
 }

@@ -42,7 +42,7 @@ pub struct FormerConfig {
 
 impl Default for FormerConfig {
     fn default() -> Self {
-        // Defaults tuned on the BENCH_10 bursty trace: bursts fill
+        // Defaults tuned on the `rh-bench service` bursty trace: bursts fill
         // 64-deep blocks well inside the budget, while the quiescent
         // stretches between bursts fall through to sessions.
         FormerConfig { max_batch: 64, latency_budget_ns: 400_000, min_batch: 4 }

@@ -47,7 +47,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// one's set-up allocations would land in the other's warm window.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// The BENCH_10-shaped trace both guards run over: bursty service mix,
+/// The service-grid-shaped trace both guards run over: bursty service mix,
 /// enough requests to cycle the former through fills, deadline closes,
 /// barriers, and hysteretic fallbacks.
 fn warm_trace() -> Vec<rh_kv::gen::Request> {

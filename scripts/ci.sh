@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: lint, build both feature configurations, test, benchmark
-# smoke, and a short deterministic opacity sweep.
+# Tier-1 gate: lint, build both feature configurations, test, the model
+# gate against the committed exact-counter baseline, benchmark smokes,
+# and a short deterministic opacity sweep.
 #
 # Run from the repository root:
 #
@@ -13,9 +14,15 @@
 #
 #   cargo run -p tm-check --release --bin sweep -- \
 #       --algorithm <name> --htm <config> --replay <seed>
+#
+# No step may write a tracked file: the script records the worktree
+# status first and fails at the end if any step changed it.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+worktree_status() { git status --porcelain 2>&1 || true; }
+status_before="$(worktree_status)"
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -32,91 +39,45 @@ cargo build --release --manifest-path benchmark/Cargo.toml
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== benchmark crate tests (free and controlled builds) + smoke pass =="
+echo "== benchmark crate tests (free and controlled builds) =="
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 cargo test -q --release --manifest-path benchmark/Cargo.toml --features controlled
-benchmark/run.sh --smoke
 
-echo "== committed ledger diff (BENCH_3 -> BENCH_4, deterministic, informative) =="
-# Diffs the two *committed* artifacts — byte-stable regardless of CI
-# host load. Informative, not gating: the committed BENCH_4.json carries
-# four cells >5% over BENCH_3 (the sharded-clock tradeoff rows noted in
-# DESIGN.md §11), so `--fail` here can never pass and never has. Runs
-# before the smoke below, which overwrites the worktree BENCH_4.json
-# with fresh (ungated) numbers.
-cargo run -p rh-bench --release -- diff BENCH_3.json BENCH_4.json
+echo "== model gate (traced smoke pass vs scripts/baseline-smoke-seed1.json, GATING on exact counters) =="
+# The baseline is this same traced smoke pass at seed 1, committed. Its
+# exact counters (modeled_cyc_per_op_t1 of every workload,
+# engine.*.rmw_cyc, store.*_cyc, sched.steps_per_case,
+# check.events_per_case) are pure functions of the seed and the cost
+# model, so any digit that moves is a change to the modeled system. The
+# gate fails on a moved exact counter, a failed operation, a missing
+# workload or metric, or documents compare cannot read (exit 2). Host
+# rows and the non-exact modeled rows depend on the machine and its
+# load: compare prints their verdicts as information only. A change
+# that means to move the model regenerates the baseline (README.md,
+# "The model gate").
+benchmark/run.sh --smoke --trace --seed 1
+compare_code=0
+compare_report="$(benchmark/run.sh compare scripts/baseline-smoke-seed1.json benchmark/out/run-1.json)" \
+    || compare_code=$?
+echo "$compare_report"
+if [ "$compare_code" -eq 2 ] \
+    || grep -E 'EXACT COUNTER MOVED|operations FAILED|MISSING' <<<"$compare_report"; then
+    echo "ci.sh: model gate failed (compare exit $compare_code; offending lines above)"
+    exit 1
+fi
+echo "model gate held (compare exit $compare_code; host and non-exact rows informative)"
 
-echo "== committed ledger gates (BENCH_4/BENCH_7 -> BENCH_8, deterministic, GATING) =="
-# PR 8 re-arms the `--fail` gate the PR 6 demotion left informative:
-# BENCH_8.json re-measures the overhead matrix (BENCH_4 keys) and the
-# service percentiles (BENCH_7 keys) on the policy-capable engine, so
-# these committed-vs-committed joins are byte-stable in CI and fail the
-# build if a future BENCH_8 commit regresses a cell past its threshold.
-# Thresholds are per-cell (DESIGN.md §14): the sharded-clock headline
-# cells are pinned tight for the RH engines only (observed deltas are
-# <3%; HY NOrec — the structural negative control — legitimately
-# wobbles ±30% there as its abort storms reshuffle), tail percentiles
-# of the software engines get a wide `*_p99` berth (p99 of a
-# 175-cycle cell is pure scheduling noise), and everything else sits
-# under a default chosen ~2x above the largest benign re-measurement
-# delta on record.
-cargo run -p rh-bench --release -- diff BENCH_4.json BENCH_8.json --fail \
-    --threshold 60 \
-    --cell-threshold RH-NOrec/contended_disjoint=10 \
-    --cell-threshold RH-NOrec/contended_sharded=10 \
-    --cell-threshold RH-NOrec-Postfix/contended_disjoint=10 \
-    --cell-threshold RH-NOrec-Postfix/contended_sharded=10
-cargo run -p rh-bench --release -- diff BENCH_7.json BENCH_8.json --fail \
-    --threshold 50 \
-    --cell-threshold '*_p99=700'
-
-echo "== committed ledger gate (BENCH_8 -> BENCH_9, deterministic, GATING) =="
-# BENCH_9.json carries every BENCH_8 row verbatim (byte-stable 0-delta
-# joins, so this --fail gate holds every pre-existing cell to the same
-# thresholds as above) and appends the new batch/* race cells. The batch
-# rows join nothing in BENCH_8 and therefore land in `unmatched` —
-# informative-first by the diff tool's own semantics. Their teeth live in
-# the batch smoke below: `rh-bench batch` asserts the pinned sentinel
-# (1-worker cell within 10% of sequential; the batch engine strictly
-# beats the best interactive engine at every swept thread count >= 4) on
-# every run, smoke included, and panics the build otherwise.
-cargo run -p rh-bench --release -- diff BENCH_8.json BENCH_9.json --fail \
-    --threshold 60 \
-    --cell-threshold RH-NOrec/contended_disjoint=10 \
-    --cell-threshold RH-NOrec/contended_sharded=10 \
-    --cell-threshold RH-NOrec-Postfix/contended_disjoint=10 \
-    --cell-threshold RH-NOrec-Postfix/contended_sharded=10 \
-    --cell-threshold '*_p99=700'
-
-echo "== committed ledger gate (BENCH_9 -> BENCH_10, deterministic, GATING) =="
-# BENCH_10.json carries every BENCH_9 row verbatim (0-delta joins held to
-# the same thresholds) and appends the scheduler grid's
-# <class>_<stat>@static|@steal|@batch rows. The grid rows join nothing in
-# BENCH_9 and land in `unmatched` — informative-first; their teeth are
-# the run-time scheduler sentinel `rh-bench service` asserts on every
-# invocation (smoke included, below), which panics the build on a p99
-# regression of the saturating engines or a p50 regression of the
-# absorbing ones (DESIGN.md §16).
-cargo run -p rh-bench --release -- diff BENCH_9.json BENCH_10.json --fail \
-    --threshold 60 \
-    --cell-threshold RH-NOrec/contended_disjoint=10 \
-    --cell-threshold RH-NOrec/contended_sharded=10 \
-    --cell-threshold RH-NOrec-Postfix/contended_disjoint=10 \
-    --cell-threshold RH-NOrec-Postfix/contended_sharded=10 \
-    --cell-threshold '*_p99=700'
-
-echo "== overhead benchmark smoke (writes BENCH_4.json) =="
+echo "== overhead benchmark smoke (per-op cost matrix, printed) =="
 cargo run -p rh-bench --release -- overhead --csv
 
 echo "== ablation smoke (single vs sharded clock, quick scale) =="
 cargo run -p rh-bench --release -- ablate
 
-echo "== policy ablate smoke (adaptive vs static grid + BENCH_8 assembly, quick scale) =="
+echo "== policy ablate smoke (adaptive vs static grid, quick scale) =="
 # The uninstrumented-config exercise of the adaptive policy layer: the
-# full grid (static1/static4/adaptive on the four sentinels) plus the
-# BENCH_8 assembly path with a small service cell. Writes a fresh
-# (ungated) worktree BENCH_8.json — the committed one was gated above.
-cargo run -p rh-bench --release -- ablate --policy all --smoke --requests 2000 --threads 2
+# full grid (static1/static4/adaptive on the four sentinels) and the
+# adaptive-vs-best-static verdict per cell.
+cargo run -p rh-bench --release -- ablate --policy
 
 echo "== batch executor smoke (Block-STM race vs the interactive engines, sentinel printed) =="
 # Runs the batch engine against all five interactive engines on the same
@@ -124,8 +85,7 @@ echo "== batch executor smoke (Block-STM race vs the interactive engines, sentin
 # conservation per cell and prints the pinned batch-vs-best-interactive
 # sentinel's verdict without asserting it: its cells are free-running
 # workers whose wall-clock overlap depends on host load (full runs still
-# assert it). No ledger write in smoke mode (the committed BENCH_9.json
-# was gated above).
+# assert it).
 cargo run -p rh-bench --release -- batch --smoke
 
 echo "== free-running paper-shape cells (informative) =="
@@ -139,17 +99,12 @@ cargo test -q -p rh-bench --release --test shapes -- --ignored \
 echo "== service scheduler-grid smoke (static/steal/batch, sentinel-asserted) =="
 # One engine keeps the controlled-replay cells CI-sized: each cell is a
 # pure function of the trace seed (identical to the same cell of a full
-# grid run — cells are independent), the run asserts per-cell balance
-# conservation and the pinned scheduler sentinel, and smoke writes no
-# ledger (the committed BENCH_10.json was gated above). This is also the
-# named CI exercise of the steal pool and the batch former: the cell set
-# is static baseline, work-stealing pool, and dynamic batch formation.
+# grid run — cells are independent), and the run asserts per-cell
+# balance conservation and the pinned scheduler sentinel. This is also
+# the named CI exercise of the steal pool and the batch former: the cell
+# set is static baseline, work-stealing pool, and dynamic batch
+# formation.
 cargo run -p rh-bench --release -- service --engine rh-norec --smoke
-
-echo "== bench diff smoke (fresh run vs committed ledger, informative) =="
-# No --fail: a fresh overhead run on a loaded CI host can wobble past the
-# threshold; the committed BENCH_4.json (gated above) is the artifact.
-cargo run -p rh-bench --release -- diff BENCH_3.json BENCH_4.json
 
 echo "== deterministic opacity sweep (~1 s per algorithm per HTM config) =="
 for htm in default disabled tiny; do
@@ -188,5 +143,13 @@ echo "== KV serializability sweep (request traces, strict-serializability + cons
 # balance-conservation invariant, and proves the planted KV mutant dies
 # within its manifest budget.
 cargo test -q -p tm-check --release --test kv_sweep
+
+echo "== worktree unchanged (no step may write a tracked file) =="
+status_after="$(worktree_status)"
+if [ "$status_before" != "$status_after" ]; then
+    echo "ci.sh: the worktree changed during the run"
+    diff <(echo "$status_before") <(echo "$status_after") || true
+    exit 1
+fi
 
 echo "ci.sh: all green"
