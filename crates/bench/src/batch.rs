@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use rh_norec::batch::{execute_sequential, BatchConfig, ParallelExecutor};
+use rh_norec::batch::{execute_sequential, Batch, BatchConfig, ParallelExecutor};
 use rh_norec::{Algorithm, TmConfig, TmRuntime};
 use sim_htm::{Htm, HtmConfig};
 use sim_mem::{Heap, HeapConfig};
@@ -106,15 +106,14 @@ fn run_batch_cell(cfg: &TransferBatchConfig, workers: usize) -> Cell {
     let heap = Arc::new(Heap::new(HeapConfig { words: 1 << 16 }));
     let workload = TransferBatch::generate(&heap, cfg);
     let report = if workers == 0 {
-        execute_sequential(&heap, &workload.batch())
+        execute_sequential(&heap, &workload)
     } else {
         // Periodic yields keep multi-worker cells honest on timesharing
         // hosts — the same knob the interactive cells set below.
         let config = BatchConfig::with_workers(workers).with_interleave(u32::from(workers > 1));
         let exec = ParallelExecutor::new(Arc::clone(&heap), config)
             .expect("batch executor construction cannot fail");
-        let batch = workload.batch();
-        exec.execute(&batch, &[batch.len()]).0
+        exec.execute(&workload, &[workload.len()]).0
     };
     workload
         .verify(&heap)

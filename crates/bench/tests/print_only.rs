@@ -29,6 +29,7 @@ impl Drop for ScratchDir {
 }
 
 #[test]
+#[ignore = "runs three rh-bench targets end to end (~15 s in a debug build); scripts/ci.sh runs it"]
 fn targets_write_no_files() {
     let dir = ScratchDir::new();
     for args in [&["overhead"][..], &["ablate"], &["ablate", "--policy"]] {

@@ -86,6 +86,7 @@ fn rh_beats_hybrid_under_contention() {
 /// per-thread HTM capacity halves and capacity aborts appear where there
 /// were (almost) none.
 #[test]
+#[ignore = "free-running 8/16-thread cells: the host decides the overlap; scripts/ci.sh runs it"]
 fn vacation_has_the_smt_capacity_knee() {
     let build = |heap: &Heap| -> Box<dyn Workload> {
         Box::new(Vacation::new(heap, VacationConfig::low(512)))
@@ -104,6 +105,7 @@ fn vacation_has_the_smt_capacity_knee() {
 /// The RH mechanisms actually engage: under fallback pressure the mixed
 /// slow path commits prefixes and postfixes at high rates.
 #[test]
+#[ignore = "free-running 8-thread cell: the host decides the overlap; scripts/ci.sh runs it"]
 fn rh_small_htms_mostly_succeed() {
     let build = rbtree(40);
     let rh = cell(Algorithm::RhNorec, 8, &build);

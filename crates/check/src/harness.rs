@@ -665,17 +665,18 @@ fn run_batch_case(
     }
 
     let bounds = [batch.len()];
-    let (report, run) =
-        match catch_unwind(AssertUnwindSafe(|| exec.execute_controlled(&batch, &bounds, sched_cfg))) {
-            Ok((report, _elapsed, run)) => (report, run),
-            Err(payload) => {
-                return Err(CaseFailure::Panicked {
-                    seed: sched_cfg.seed,
-                    guided: sched_cfg.guided.clone(),
-                    message: panic_message(&payload),
-                })
-            }
-        };
+    let (report, run) = match catch_unwind(AssertUnwindSafe(|| {
+        exec.execute_controlled(&batch[..], &bounds, sched_cfg)
+    })) {
+        Ok((report, _elapsed, run)) => (report, run),
+        Err(payload) => {
+            return Err(CaseFailure::Panicked {
+                seed: sched_cfg.seed,
+                guided: sched_cfg.guided.clone(),
+                message: panic_message(&payload),
+            })
+        }
+    };
 
     // The app-level invariant first, as in the interactive KV cases.
     let final_sum = store.sum_direct(&heap);

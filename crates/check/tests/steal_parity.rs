@@ -235,7 +235,7 @@ fn chained_blocks_replay_clean_through_the_oracles() {
             let exec = ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(3))
                 .expect("test batch config is valid");
             let (report, elapsed, _run) = exec.execute_controlled(
-                &txns,
+                &txns[..],
                 &bounds,
                 &SchedConfig::from_seed(seed),
             );

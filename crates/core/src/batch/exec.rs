@@ -1,6 +1,13 @@
 //! The `ParallelExecutor`: optimistic rank-ordered execution of a
 //! pre-formed transaction batch over the multi-version map.
 //!
+//! The executor's input is a rank-indexed [`Batch`]: it asks for the
+//! batch's length and runs rank `r`'s body on demand, so a caller whose
+//! transactions are already plain data (a slice of a request trace, a
+//! table of transfers) hands that data over as is instead of binding one
+//! object per transaction. A slice of [`BatchTxn`]s is the simplest
+//! `Batch`.
+//!
 //! Workers pull tasks from the [`BatchSched`] until the batch quiesces;
 //! then a single rank-ordered commit sweep writes the surviving versions
 //! back to the heap. Per-attempt read and write capture reuses the
@@ -70,15 +77,37 @@ pub trait BatchTxn: Send + Sync {
     fn execute(&self, view: &mut TxView<'_>) -> Result<(), Blocked>;
 }
 
-impl<T: BatchTxn + ?Sized> BatchTxn for &T {
-    fn execute(&self, view: &mut TxView<'_>) -> Result<(), Blocked> {
-        (**self).execute(view)
+/// A rank-indexed batch: what [`ParallelExecutor`] and
+/// [`execute_sequential`] run. Ranks are `0..len()`, and rank order is
+/// the serialization the executor commits. `execute(rank, ..)` may be
+/// called any number of times per rank (re-executions after an abort)
+/// and from any worker, so it must be a pure function of `rank` and the
+/// view's contents.
+pub trait Batch: Sync {
+    /// Transactions in the batch.
+    fn len(&self) -> usize;
+
+    /// Whether the batch has no transactions.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
+
+    /// Executes rank `rank`'s body against `view`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Blocked`] when a read hit an unresolved speculative
+    /// dependency; the executor re-runs the body later.
+    fn execute(&self, rank: usize, view: &mut TxView<'_>) -> Result<(), Blocked>;
 }
 
-impl<T: BatchTxn + ?Sized> BatchTxn for Box<T> {
-    fn execute(&self, view: &mut TxView<'_>) -> Result<(), Blocked> {
-        (**self).execute(view)
+impl<T: BatchTxn> Batch for [T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
+    }
+
+    fn execute(&self, rank: usize, view: &mut TxView<'_>) -> Result<(), Blocked> {
+        self[rank].execute(view)
     }
 }
 
@@ -97,7 +126,7 @@ enum ViewInner<'a> {
     },
 }
 
-/// The transactional view a [`BatchTxn`] body runs against.
+/// The transactional view a [`Batch`] rank's body runs against.
 pub struct TxView<'a> {
     inner: ViewInner<'a>,
     cycles: u64,
@@ -186,7 +215,7 @@ impl<'a> TxView<'a> {
 /// published, in the final (validated) incarnation. Addresses are heap
 /// word addresses. The commit order is the rank order, so replaying
 /// these records in sequence *is* the serialization the executor claims.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TxnRecord {
     /// `(word address, value read)` in program order, RAW hits excluded.
     pub reads: Vec<(u64, u64)>,
@@ -213,7 +242,7 @@ struct WorkerStats {
 }
 
 /// What a batch run measured.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchReport {
     txs: u64,
     speculative: bool,
@@ -306,9 +335,9 @@ struct Arena {
 }
 
 /// Everything the workers share for one batch run.
-struct Shared<'a, T> {
+struct Shared<'a, B: ?Sized> {
     heap: &'a Heap,
-    batch: &'a [T],
+    batch: &'a B,
     mvmap: MvMap,
     sched: BatchSched,
     outputs: Vec<Mutex<TxnOutput>>,
@@ -322,7 +351,7 @@ struct Shared<'a, T> {
 /// The Block-STM-style batch engine: the repo's sixth execution mode.
 ///
 /// Construct one over a heap with [`ParallelExecutor::new`], then feed it
-/// pre-formed batches of [`BatchTxn`]s with [`ParallelExecutor::execute`].
+/// pre-formed [`Batch`]es with [`ParallelExecutor::execute`].
 /// The committed state is always the one sequential rank-order execution
 /// would produce, whatever the worker interleaving.
 pub struct ParallelExecutor {
@@ -397,14 +426,14 @@ impl ParallelExecutor {
     }
 
     /// Executes `batch` as a *chain* of blocks sharing one rank space and
-    /// commits its effects to the heap: `boundaries` are ascending
-    /// end-exclusive rank ends (the last equal to `batch.len()`; a single
-    /// block passes `&[batch.len()]`). All blocks run under one scheduler
-    /// and one speculation window, so block `N + 1`'s speculation starts
-    /// while block `N`'s validation wave is still draining — the
-    /// cross-block handoff the dynamic batch former relies on. With one
-    /// worker this takes the no-speculation fast path; otherwise workers
-    /// run on scoped OS threads.
+    /// commits its effects to the heap: `boundaries` are strictly
+    /// ascending end-exclusive rank ends (the last equal to
+    /// `batch.len()`; a single block passes `&[batch.len()]`). All blocks
+    /// run under one scheduler and one speculation window, so block
+    /// `N + 1`'s speculation starts while block `N`'s validation wave is
+    /// still draining — the cross-block handoff the dynamic batch former
+    /// relies on. With one worker this takes the no-speculation fast
+    /// path; otherwise workers run on scoped OS threads.
     ///
     /// Besides the report, returns each block's modeled *elapsed* cycles
     /// from chain start to that block's completion (monotone): the
@@ -412,20 +441,17 @@ impl ParallelExecutor {
     /// prefix-maxed and normalized by the worker count. The commit sweep
     /// ([`BatchReport::commit_cycles`]) runs once after the last block
     /// and is not included.
-    pub fn execute<T: BatchTxn>(
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `boundaries` cut `0..batch.len()` into non-empty
+    /// blocks (an empty batch is the one block `[0]`).
+    pub fn execute<B: Batch + ?Sized>(
         &self,
-        batch: &[T],
+        batch: &B,
         boundaries: &[usize],
     ) -> (BatchReport, Vec<u64>) {
-        assert_eq!(
-            boundaries.last().copied(),
-            Some(batch.len()),
-            "chain boundaries must cover the batch"
-        );
-        if self.config.workers() == 1 {
-            return execute_sequential_chained(&self.heap, batch, boundaries);
-        }
-        self.run_speculative(batch, boundaries, |shared, workers| {
+        self.run_chain(batch, boundaries, |shared, workers| {
             std::thread::scope(|scope| {
                 for wid in 0..workers {
                     scope.spawn(move || worker_loop(shared, wid));
@@ -445,42 +471,48 @@ impl ParallelExecutor {
     /// harnesses can replay and shrink a failing interleaving. The
     /// single-worker fast path takes no scheduling decisions and returns
     /// an empty log.
+    ///
+    /// # Panics
+    ///
+    /// As [`ParallelExecutor::execute`].
     #[cfg(feature = "deterministic")]
-    pub fn execute_controlled<T: BatchTxn>(
+    pub fn execute_controlled<B: Batch + ?Sized>(
         &self,
-        batch: &[T],
+        batch: &B,
         boundaries: &[usize],
         sched_config: &sim_htm::sched::SchedConfig,
     ) -> (BatchReport, Vec<u64>, sim_htm::sched::RunResult) {
-        use sim_htm::sched::RunResult;
-        assert_eq!(
-            boundaries.last().copied(),
-            Some(batch.len()),
-            "chain boundaries must cover the batch"
-        );
-        if self.config.workers() == 1 {
-            let (report, elapsed) = execute_sequential_chained(&self.heap, batch, boundaries);
-            return (report, elapsed, RunResult { decisions: Vec::new(), steps: 0 });
-        }
-        let mut run = None;
-        let (report, elapsed) = self.run_speculative(batch, boundaries, |shared, workers| {
+        let mut run = sim_htm::sched::RunResult { decisions: Vec::new(), steps: 0 };
+        let (report, elapsed) = self.run_chain(batch, boundaries, |shared, workers| {
             let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..workers)
                 .map(|wid| Box::new(move || worker_loop(shared, wid)) as Box<dyn FnOnce() + Send>)
                 .collect();
-            run = Some(sim_htm::sched::run_threads(sched_config, bodies));
+            run = sim_htm::sched::run_threads(sched_config, bodies);
         });
-        (report, elapsed, run.expect("spawn closure always runs"))
+        (report, elapsed, run)
     }
 
-    /// Shared speculative-phase driver: `spawn` must run `workers`
-    /// worker loops to completion before returning.
-    fn run_speculative<T: BatchTxn>(
+    /// The one chain driver behind both entries: checks the boundaries,
+    /// takes the fast path with one worker, and otherwise runs the
+    /// speculative phase, where `spawn` must run `workers` worker loops
+    /// to completion before returning.
+    fn run_chain<B: Batch + ?Sized>(
         &self,
-        batch: &[T],
+        batch: &B,
         boundaries: &[usize],
-        spawn: impl for<'s> FnOnce(&'s Shared<'s, T>, usize),
+        spawn: impl for<'s> FnOnce(&'s Shared<'s, B>, usize),
     ) -> (BatchReport, Vec<u64>) {
+        let blocks_non_empty = boundaries.first().is_some_and(|&end| end > 0)
+            && boundaries.windows(2).all(|w| w[0] < w[1]);
+        assert!(
+            boundaries.last() == Some(&batch.len()) && (blocks_non_empty || boundaries == [0]),
+            "chain boundaries {boundaries:?} must cut 0..{} into non-empty blocks",
+            batch.len()
+        );
         let workers = self.config.workers();
+        if workers == 1 {
+            return execute_sequential_chained(&self.heap, batch, boundaries);
+        }
         let shared = Shared {
             heap: &self.heap,
             batch,
@@ -555,33 +587,33 @@ impl ParallelExecutor {
 /// Sequential rank-order execution: the parity baseline and the body of
 /// the single-worker fast path. Plain heap accesses, no speculation, no
 /// capture.
-pub fn execute_sequential<T: BatchTxn>(heap: &Heap, batch: &[T]) -> BatchReport {
+pub fn execute_sequential<B: Batch + ?Sized>(heap: &Heap, batch: &B) -> BatchReport {
     execute_sequential_chained(heap, batch, &[batch.len()]).0
 }
 
 /// [`execute_sequential`] over a block chain: the per-block elapsed
 /// cycles are the running total at each boundary (sequential execution
 /// has no overlap to model).
-fn execute_sequential_chained<T: BatchTxn>(
+fn execute_sequential_chained<B: Batch + ?Sized>(
     heap: &Heap,
-    batch: &[T],
+    batch: &B,
     boundaries: &[usize],
 ) -> (BatchReport, Vec<u64>) {
     let mut cycles = 0u64;
     let mut elapsed = Vec::with_capacity(boundaries.len());
-    for (rank, txn) in batch.iter().enumerate() {
+    for rank in 0..batch.len() {
         cycles += cost::BATCH_SEQ_TX;
         let mut view =
             TxView { inner: ViewInner::Direct { heap }, cycles: 0, accesses: 0, every: 0 };
-        txn.execute(&mut view).expect("direct-mode reads never block");
+        batch.execute(rank, &mut view).expect("direct-mode reads never block");
         cycles += view.cycles;
         if boundaries.get(elapsed.len()) == Some(&(rank + 1)) {
             elapsed.push(cycles);
         }
     }
-    // Trailing (or empty-batch) boundaries complete at the current total.
-    while elapsed.len() < boundaries.len() {
-        elapsed.push(cycles);
+    // An empty batch's one boundary, `[0]`, completes at zero cycles.
+    if batch.is_empty() {
+        elapsed.push(0);
     }
     let report = BatchReport {
         txs: batch.len() as u64,
@@ -599,7 +631,7 @@ fn execute_sequential_chained<T: BatchTxn>(
 }
 
 /// One worker: pull tasks until the batch quiesces.
-fn worker_loop<T: BatchTxn>(shared: &Shared<'_, T>, wid: usize) {
+fn worker_loop<B: Batch + ?Sized>(shared: &Shared<'_, B>, wid: usize) {
     let mut arena = Arena::default();
     let mut st = WorkerStats::default();
     loop {
@@ -631,8 +663,8 @@ fn worker_loop<T: BatchTxn>(shared: &Shared<'_, T>, wid: usize) {
     *shared.stats[wid].lock().unwrap_or_else(|e| e.into_inner()) = st;
 }
 
-fn run_execution<T: BatchTxn>(
-    shared: &Shared<'_, T>,
+fn run_execution<B: Batch + ?Sized>(
+    shared: &Shared<'_, B>,
     arena: &mut Arena,
     st: &mut WorkerStats,
     rank: usize,
@@ -655,7 +687,7 @@ fn run_execution<T: BatchTxn>(
         accesses: 0,
         every: shared.interleave,
     };
-    let result = shared.batch[rank].execute(&mut view);
+    let result = shared.batch.execute(rank, &mut view);
     spent += view.cycles;
     match result {
         Err(Blocked { on }) => {
@@ -701,8 +733,8 @@ fn run_execution<T: BatchTxn>(
     }
 }
 
-fn run_validation<T: BatchTxn>(
-    shared: &Shared<'_, T>,
+fn run_validation<B: Batch + ?Sized>(
+    shared: &Shared<'_, B>,
     arena: &mut Arena,
     st: &mut WorkerStats,
     rank: usize,
@@ -806,7 +838,7 @@ mod tests {
         let heap = Arc::new(Heap::new(HeapConfig::default()));
         let (slot, batch) = hot_batch(&heap, 16);
         let exec = ParallelExecutor::new(Arc::clone(&heap), BatchConfig::default()).unwrap();
-        let (report, _) = exec.execute(&batch, &[batch.len()]);
+        let (report, _) = exec.execute(&batch[..], &[batch.len()]);
         assert!(!report.speculative());
         assert_eq!(report.txs(), 16);
         assert_eq!(report.aborts(), 0);
@@ -821,7 +853,7 @@ mod tests {
         let (slot, batch) = hot_batch(&heap, 48);
         let exec =
             ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(4)).unwrap();
-        let (report, _) = exec.execute(&batch, &[batch.len()]);
+        let (report, _) = exec.execute(&batch[..], &[batch.len()]);
         assert!(report.speculative());
         assert_eq!(heap.load(slot), 48);
         // Every rank reads the value its predecessor wrote: the mirrors
@@ -850,7 +882,7 @@ mod tests {
         let batch: Vec<Set> = (0..32).map(|i| Set(slots.offset(i))).collect();
         let exec =
             ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(4)).unwrap();
-        let (report, _) = exec.execute(&batch, &[batch.len()]);
+        let (report, _) = exec.execute(&batch[..], &[batch.len()]);
         assert_eq!(report.aborts(), 0);
         assert_eq!(report.max_incarnation(), 0);
         assert_eq!(report.executions(), 32);
@@ -867,7 +899,7 @@ mod tests {
             let exec =
                 ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(workers))
                     .unwrap();
-            let (report, elapsed) = exec.execute(&batch, &[8, 16, 24]);
+            let (report, elapsed) = exec.execute(&batch[..], &[8, 16, 24]);
             assert_eq!(report.txs(), 24);
             assert_eq!(heap.load(slot), 24, "workers {workers}");
             for (rank, tx) in batch.iter().enumerate() {
@@ -877,6 +909,36 @@ mod tests {
             assert!(elapsed[0] > 0);
             assert!(elapsed.windows(2).all(|w| w[0] <= w[1]), "elapsed {elapsed:?}");
         }
+    }
+
+    /// Bounds `[2, 2, 4]` hold an empty block. Unchecked, the 1-worker
+    /// path would report it as `[c2, c4, c4]` rather than `[c2, c2, c4]`.
+    fn run_with_an_empty_block(workers: usize) {
+        let heap = Arc::new(Heap::new(HeapConfig::default()));
+        let (_, batch) = hot_batch(&heap, 4);
+        let exec =
+            ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(workers)).unwrap();
+        exec.execute(&batch[..], &[2, 2, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty blocks")]
+    fn an_empty_block_panics_on_the_one_worker_path() {
+        run_with_an_empty_block(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty blocks")]
+    fn an_empty_block_panics_on_the_speculative_path() {
+        run_with_an_empty_block(4);
+    }
+
+    #[test]
+    fn an_empty_batch_is_one_empty_block() {
+        let heap = Arc::new(Heap::new(HeapConfig::default()));
+        let exec = ParallelExecutor::new(Arc::clone(&heap), BatchConfig::default()).unwrap();
+        let (report, elapsed) = exec.execute(&[] as &[Bump], &[0]);
+        assert_eq!((report.txs(), elapsed), (0, vec![0]));
     }
 
     #[cfg(feature = "deterministic")]
@@ -889,7 +951,7 @@ mod tests {
             let exec =
                 ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(3)).unwrap();
             let (report, elapsed, _run) = exec.execute_controlled(
-                &batch,
+                &batch[..],
                 &[6, 12, 18],
                 &SchedConfig::from_seed(seed),
             );
@@ -912,7 +974,7 @@ mod tests {
             let exec =
                 ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(3)).unwrap();
             let (report, _, _) =
-                exec.execute_controlled(&batch, &[batch.len()], &SchedConfig::from_seed(seed));
+                exec.execute_controlled(&batch[..], &[batch.len()], &SchedConfig::from_seed(seed));
             assert_eq!(heap.load(slot), 12);
             (report.executions(), report.aborts(), report.blocked(), report.makespan_cycles())
         };

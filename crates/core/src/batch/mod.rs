@@ -30,6 +30,7 @@ mod mvmap;
 mod sched;
 
 pub use self::exec::{
-    execute_sequential, BatchReport, BatchTxn, Blocked, ParallelExecutor, TxView, TxnRecord,
+    execute_sequential, Batch, BatchReport, BatchTxn, Blocked, ParallelExecutor, TxView,
+    TxnRecord,
 };
 pub use crate::config::BatchConfig;

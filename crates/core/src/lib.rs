@@ -73,7 +73,7 @@ mod txlog;
 /// so results are never compared across mismatched builds.
 pub const INSTRUMENTED: bool = cfg!(feature = "deterministic");
 
-pub use batch::{BatchReport, BatchTxn, Blocked, ParallelExecutor, TxView};
+pub use batch::{Batch, BatchReport, BatchTxn, Blocked, ParallelExecutor, TxView};
 pub use clock_shard::{ClockScheme, MAX_CLOCK_SHARDS};
 pub use config::{
     Algorithm, BackoffConfig, BatchConfig, PrefixConfig, RetryPolicy, TmConfig, TmConfigBuilder,

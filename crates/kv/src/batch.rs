@@ -2,7 +2,9 @@
 //! semantics re-expressed against the batch engine's
 //! [`TxView`](rh_norec::batch::TxView) so a pre-formed request trace can
 //! run through [`rh_norec::batch::ParallelExecutor`] instead of the
-//! interactive session API.
+//! interactive session API. [`TraceChain`] hands a trace slice to the
+//! executor as it is: each rank is decoded into its [`KvBatchTxn`] when
+//! it runs, so nothing is copied or bound per request.
 //!
 //! The word-level layout (bucket probe, `[key, value]` slot pairs, hole
 //! punching) is byte-identical to [`KvStore`]'s transactional paths —
@@ -10,7 +12,7 @@
 //! engine and the interactive engines race on the *same* store images
 //! and the checker can compare their histories key for key.
 
-use rh_norec::batch::{BatchTxn, Blocked, TxView};
+use rh_norec::batch::{Batch, BatchTxn, Blocked, TxView};
 use sim_mem::Addr;
 
 use crate::gen::{OpClass, Request};
@@ -116,16 +118,37 @@ impl BatchTxn for KvBatchTxn<'_> {
     }
 }
 
-/// Binds a whole get/transfer trace to `store`, in trace order — the
-/// order *is* the batch's rank order and therefore its serialization.
+/// A run of a get/transfer trace as one rank-indexed [`Batch`] over
+/// `store`: rank `r` is `requests[r]`, so trace order *is* the batch's
+/// rank order and therefore its serialization. A chain of consecutive
+/// formed blocks is a contiguous trace range, so the batch pipeline runs
+/// every chain straight off the borrowed trace.
 ///
-/// # Panics
-///
-/// Panics if the trace contains a class with no batch form (generate it
-/// with a [`crate::gen::Mix`] where
-/// [`conserves_sum`](crate::gen::Mix::conserves_sum) holds).
-pub fn bind_trace<'a>(store: &'a KvStore, trace: &[Request]) -> Vec<KvBatchTxn<'a>> {
-    trace.iter().map(|r| KvBatchTxn::new(store, BatchOp::from_request(r))).collect()
+/// Executing a rank panics if its request has no batch form (generate
+/// the trace with a [`crate::gen::Mix`] where
+/// [`conserves_sum`](crate::gen::Mix::conserves_sum) holds, or take the
+/// range from a [`crate::former::Segment::Batch`]).
+#[derive(Clone, Copy, Debug)]
+pub struct TraceChain<'a> {
+    store: &'a KvStore,
+    requests: &'a [Request],
+}
+
+impl<'a> TraceChain<'a> {
+    /// The chain of `requests`, executed against `store`.
+    pub fn new(store: &'a KvStore, requests: &'a [Request]) -> TraceChain<'a> {
+        TraceChain { store, requests }
+    }
+}
+
+impl Batch for TraceChain<'_> {
+    fn len(&self) -> usize {
+        self.requests.len()
+    }
+
+    fn execute(&self, rank: usize, view: &mut TxView<'_>) -> Result<(), Blocked> {
+        KvBatchTxn::new(self.store, BatchOp::from_request(&self.requests[rank])).execute(view)
+    }
 }
 
 #[cfg(test)]
@@ -151,9 +174,8 @@ mod tests {
             seed: 7,
             ..TraceConfig::default()
         });
-        let batch = bind_trace(&store, &trace);
         let exec = ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(4)).unwrap();
-        let (report, _) = exec.execute(&batch, &[batch.len()]);
+        let (report, _) = exec.execute(&TraceChain::new(&store, &trace), &[trace.len()]);
         assert!(report.speculative());
         assert_eq!(report.txs(), 400);
         assert_eq!(store.sum_direct(&heap), 1600, "batch transfers minted or lost balance");
@@ -175,14 +197,14 @@ mod tests {
             for key in 1..=8u64 {
                 store.load(&heap, key, 50).unwrap();
             }
-            let batch = bind_trace(&store, &trace);
+            let batch = TraceChain::new(&store, &trace);
             if workers == 0 {
                 execute_sequential(&heap, &batch);
             } else {
                 let exec =
                     ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(workers))
                         .unwrap();
-                exec.execute(&batch, &[batch.len()]);
+                exec.execute(&batch, &[trace.len()]);
             }
             store.snapshot_words(&heap)
         };

@@ -680,7 +680,7 @@ fn run_batch_pipeline(
         exec.set_mutant(*mutant, true);
     }
     let mut former = Former::new(former_config);
-    let segments: Vec<Segment> = former.form(trace).to_vec();
+    let segments = former.form(trace);
 
     let mut session = rt.open_session().expect("free worker slot");
     let mut hists = WorkerHists::new();
@@ -689,9 +689,7 @@ fn run_batch_pipeline(
     let mut batch_aborts = 0u64;
     // When the pool as a whole is free again (ns).
     let mut engine_free = 0u64;
-    // Recycled chain buffers (`ranks` maps chain rank -> trace index).
-    let mut txns = Vec::new();
-    let mut ranks: Vec<u32> = Vec::new();
+    // Recycled per-block buffers of the current chain.
     let mut bounds = Vec::new();
     let mut closes = Vec::new();
     // Recycled fallback virtual-worker clocks.
@@ -718,27 +716,25 @@ fn run_batch_pipeline(
                 engine_free = worker_free.iter().copied().max().unwrap_or(engine_free);
                 i += 1;
             }
-            Segment::Batch { .. } => {
+            Segment::Batch { start: chain_start, .. } => {
                 // Gather the maximal run of consecutive blocks into one
                 // chain (cross-block handoff happens inside the
-                // executor's shared speculation window).
-                txns.clear();
-                ranks.clear();
+                // executor's shared speculation window). Segments tile
+                // the trace, so the chain is one contiguous trace range
+                // and runs in place: chain rank `r` is `chain[r]`.
                 bounds.clear();
                 closes.clear();
+                let mut chain_end = chain_start;
                 while let Some(&Segment::Batch { start, len, close_at_ns }) = segments.get(i) {
-                    for (offset, request) in trace[start..start + len].iter().enumerate() {
-                        txns.push(crate::batch::KvBatchTxn::new(
-                            store,
-                            crate::batch::BatchOp::from_request(request),
-                        ));
-                        ranks.push((start + offset) as u32);
-                    }
-                    bounds.push(txns.len());
+                    debug_assert_eq!(start, chain_end, "segments tile the trace");
+                    chain_end = start + len;
+                    bounds.push(chain_end - chain_start);
                     closes.push(close_at_ns);
                     i += 1;
                 }
-                let (report, elapsed_cycles) = exec.execute(&txns, &bounds);
+                let chain = &trace[chain_start..chain_end];
+                let (report, elapsed_cycles) =
+                    exec.execute(&crate::batch::TraceChain::new(store, chain), &bounds);
                 batch_commits += report.txs();
                 batch_aborts += report.aborts();
                 batched += report.txs();
@@ -752,8 +748,7 @@ fn run_batch_pipeline(
                     let delta_ns = elapsed_ns - prev_elapsed_ns;
                     prev_elapsed_ns = elapsed_ns;
                     completion = completion.max(closes[b]) + delta_ns;
-                    for &trace_idx in &ranks[block_start..end] {
-                        let request = &trace[trace_idx as usize];
+                    for request in &chain[block_start..end] {
                         hists.record(request.class, completion - request.at_ns);
                     }
                     block_start = end;

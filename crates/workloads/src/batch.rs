@@ -5,12 +5,12 @@
 //! The table is the bank's `[open_flag, balance]` pair layout; transfers
 //! are drawn by the KV service tier's zipfian generator
 //! ([`rh_kv::gen`]), so batch benchmarks see the same hot-key skew the
-//! service-tier benchmarks do. One [`TransferBatch`] yields both forms
-//! of the work:
+//! service-tier benchmarks do. One [`TransferBatch`] is both forms of
+//! the work:
 //!
-//! * [`TransferBatch::batch`] — rank-ordered [`BatchTxn`]s for
-//!   [`rh_norec::batch::ParallelExecutor`];
-//! * [`TransferBatch::run_interactive`] — the same rank as one session
+//! * a rank-indexed [`Batch`] that
+//!   [`rh_norec::batch::ParallelExecutor`] runs as it is;
+//! * [`BatchWorkload::run_interactive`] — the same rank as one session
 //!   transaction, for the five interactive engines.
 //!
 //! Both forms read the open flags, clamp the amount to the source
@@ -19,7 +19,7 @@
 //! execution mode.
 
 use rh_kv::gen::{self, Mix, TraceConfig};
-use rh_norec::batch::{BatchTxn, Blocked, TxView};
+use rh_norec::batch::{Batch, Blocked, TxView};
 use rh_norec::prelude::Session;
 use sim_mem::{Addr, Heap};
 
@@ -77,19 +77,19 @@ impl AccountTable {
 /// One transfer of the batch: move up to `amount` from one account to
 /// another, skipping closed accounts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Transfer {
+struct Transfer {
     /// Source account index.
-    pub from: u64,
+    from: u64,
     /// Destination account index (distinct from `from`).
-    pub to: u64,
+    to: u64,
     /// Requested amount (clamped to the source balance at execution).
-    pub amount: u64,
+    amount: u64,
 }
 
 /// Draws `n` transfers over `accounts` accounts with the KV generator's
 /// zipfian sampler: account 0 is the hottest, `zipf_theta = 0.0` is
 /// uniform, `0.99` the YCSB-style default. Deterministic in `seed`.
-pub fn transfer_batch(accounts: u64, n: usize, zipf_theta: f64, seed: u64) -> Vec<Transfer> {
+fn transfer_batch(accounts: u64, n: usize, zipf_theta: f64, seed: u64) -> Vec<Transfer> {
     let trace = gen::generate(&TraceConfig {
         requests: n,
         keyspace: accounts,
@@ -102,69 +102,17 @@ pub fn transfer_batch(accounts: u64, n: usize, zipf_theta: f64, seed: u64) -> Ve
     trace.iter().map(|r| Transfer { from: r.key - 1, to: r.key2 - 1, amount: r.amount }).collect()
 }
 
-/// Runs one transfer as one interactive transaction on `session` — the
-/// bank example's loop body, shared so every engine executes the exact
-/// semantics the batch form does.
-pub fn transfer_interactive(session: &mut Session, table: &AccountTable, t: &Transfer) {
-    session
-        .run(|tx| {
-            // Closed accounts are private: transactions leave them alone.
-            if tx.read(table.open(t.from))? == 0 || tx.read(table.open(t.to))? == 0 {
-                return Ok(());
-            }
-            let from_balance = tx.read(table.balance(t.from))?;
-            let to_balance = tx.read(table.balance(t.to))?;
-            let amount = t.amount.min(from_balance);
-            tx.write(table.balance(t.from), from_balance - amount)?;
-            tx.write(table.balance(t.to), to_balance + amount)
-        })
-        .expect("transfer cannot fault");
-}
-
-/// One [`Transfer`] bound to its table, in batch form.
-#[derive(Clone, Copy, Debug)]
-pub struct TransferTxn {
-    table: AccountTable,
-    t: Transfer,
-}
-
-impl BatchTxn for TransferTxn {
-    fn execute(&self, view: &mut TxView<'_>) -> Result<(), Blocked> {
-        let (table, t) = (&self.table, &self.t);
-        if view.read(table.open(t.from))? == 0 || view.read(table.open(t.to))? == 0 {
-            return Ok(());
-        }
-        let from_balance = view.read(table.balance(t.from))?;
-        let to_balance = view.read(table.balance(t.to))?;
-        let amount = t.amount.min(from_balance);
-        view.write(table.balance(t.from), from_balance - amount);
-        view.write(table.balance(t.to), to_balance + amount);
-        Ok(())
-    }
-}
-
-/// A workload expressible both as a pre-formed batch for the
+/// A workload expressible both as a pre-formed [`Batch`] for the
 /// [`ParallelExecutor`](rh_norec::batch::ParallelExecutor) and as the
 /// equivalent interactive transaction stream for the session engines —
 /// the contract `rh-bench batch` races the execution modes on.
 ///
-/// The vector index of [`BatchWorkload::batch`] is the rank; running
-/// ranks `0..len()` through [`BatchWorkload::run_interactive`] in any
-/// serializable order must satisfy the same [`BatchWorkload::verify`].
-pub trait BatchWorkload: Send + Sync {
-    /// Display name (ledger scenario labels).
+/// Running ranks `0..len()` through [`BatchWorkload::run_interactive`]
+/// in any serializable order must satisfy the same
+/// [`BatchWorkload::verify`] as the batch form.
+pub trait BatchWorkload: Batch + Send {
+    /// Display name (scenario labels).
     fn name(&self) -> String;
-
-    /// Transactions in the batch (ranks are `0..len()`).
-    fn len(&self) -> usize;
-
-    /// Whether the batch is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The rank-ordered batch for the batch engine.
-    fn batch(&self) -> Vec<Box<dyn BatchTxn>>;
 
     /// Runs rank `rank` as one interactive transaction on `session`,
     /// performing the same logical reads and writes as the batch form.
@@ -227,10 +175,25 @@ impl TransferBatch {
     pub fn table(&self) -> &AccountTable {
         &self.table
     }
+}
 
-    /// The drawn transfers, in rank order.
-    pub fn transfers(&self) -> &[Transfer] {
-        &self.transfers
+impl Batch for TransferBatch {
+    fn len(&self) -> usize {
+        self.transfers.len()
+    }
+
+    fn execute(&self, rank: usize, view: &mut TxView<'_>) -> Result<(), Blocked> {
+        let (table, t) = (&self.table, &self.transfers[rank]);
+        // Closed accounts are private: transactions leave them alone.
+        if view.read(table.open(t.from))? == 0 || view.read(table.open(t.to))? == 0 {
+            return Ok(());
+        }
+        let from_balance = view.read(table.balance(t.from))?;
+        let to_balance = view.read(table.balance(t.to))?;
+        let amount = t.amount.min(from_balance);
+        view.write(table.balance(t.from), from_balance - amount);
+        view.write(table.balance(t.to), to_balance + amount);
+        Ok(())
     }
 }
 
@@ -239,19 +202,20 @@ impl BatchWorkload for TransferBatch {
         format!("transfer-batch/{}tx", self.transfers.len())
     }
 
-    fn len(&self) -> usize {
-        self.transfers.len()
-    }
-
-    fn batch(&self) -> Vec<Box<dyn BatchTxn>> {
-        self.transfers
-            .iter()
-            .map(|&t| Box::new(TransferTxn { table: self.table, t }) as Box<dyn BatchTxn>)
-            .collect()
-    }
-
     fn run_interactive(&self, session: &mut Session, rank: usize) {
-        transfer_interactive(session, &self.table, &self.transfers[rank]);
+        let (table, t) = (&self.table, &self.transfers[rank]);
+        session
+            .run(|tx| {
+                if tx.read(table.open(t.from))? == 0 || tx.read(table.open(t.to))? == 0 {
+                    return Ok(());
+                }
+                let from_balance = tx.read(table.balance(t.from))?;
+                let to_balance = tx.read(table.balance(t.to))?;
+                let amount = t.amount.min(from_balance);
+                tx.write(table.balance(t.from), from_balance - amount)?;
+                tx.write(table.balance(t.to), to_balance + amount)
+            })
+            .expect("transfer cannot fault");
     }
 
     fn verify(&self, heap: &Heap) -> Result<(), String> {
@@ -293,7 +257,7 @@ mod tests {
                     workload.run_interactive(&mut session, rank);
                 }
             } else {
-                execute_sequential(&heap, &workload.batch());
+                execute_sequential(&heap, &workload);
             }
             workload.verify(&heap).expect("conservation");
             (0..workload.table().accounts())
@@ -309,8 +273,7 @@ mod tests {
         let workload = TransferBatch::generate(&heap, &small());
         let exec =
             ParallelExecutor::new(Arc::clone(&heap), BatchConfig::with_workers(4)).unwrap();
-        let batch = workload.batch();
-        let (report, _) = exec.execute(&batch, &[batch.len()]);
+        let (report, _) = exec.execute(&workload, &[workload.len()]);
         assert!(report.speculative());
         assert_eq!(report.txs() as usize, workload.len());
         workload.verify(&heap).expect("conservation under speculation");

@@ -1,8 +1,8 @@
 //! A transactional bank demonstrating the safety properties the paper
 //! insists on — opacity and privatization — under concurrent transfers.
 //!
-//! The account table and the transfer loop live in
-//! `tm_workloads::batch` (shared with `rh-bench batch`, where the same
+//! The account table and the transfers are `tm_workloads::batch`'s
+//! `TransferBatch` (shared with `rh-bench batch`, where the same
 //! transfers race the batch engine against the interactive engines);
 //! this example is a thin caller that adds the two demonstration
 //! threads: auditors taking whole-bank snapshots inside read-only
@@ -20,7 +20,7 @@ use std::sync::Arc;
 use rh_norec_repro::htm::{Htm, HtmConfig};
 use rh_norec_repro::mem::{Heap, HeapConfig};
 use rh_norec_repro::tm::prelude::*;
-use tm_workloads::batch::{transfer_batch, transfer_interactive, AccountTable};
+use tm_workloads::batch::{BatchWorkload, TransferBatch, TransferBatchConfig};
 
 const ACCOUNTS: u64 = 64;
 const INITIAL: u64 = 1_000;
@@ -32,28 +32,36 @@ fn main() {
     let rt = TmRuntime::new(Arc::clone(&heap), htm, TmConfig::new(Algorithm::RhNorec))
         .expect("runtime construction cannot fail");
 
-    let table = AccountTable::create(&heap, ACCOUNTS, INITIAL);
+    let workload = TransferBatch::generate(
+        &heap,
+        &TransferBatchConfig {
+            accounts: ACCOUNTS,
+            initial: INITIAL,
+            transfers: 2 * TRANSFERS,
+            ..TransferBatchConfig::default()
+        },
+    );
+    let table = workload.table();
 
     let done = AtomicBool::new(false);
     let audits = std::sync::atomic::AtomicU64::new(0);
 
     std::thread::scope(|s| {
         // Transfer threads: the shared workload's zipfian transfer
-        // stream, each thread on its own seed.
-        for tid in 0..2u64 {
+        // stream, each thread on every other rank.
+        for tid in 0..2 {
             let rt = Arc::clone(&rt);
-            let table = &table;
+            let workload = &workload;
             s.spawn(move || {
                 let mut w = rt.open_session().expect("free worker slot");
-                for t in transfer_batch(ACCOUNTS, TRANSFERS, 0.99, tid + 1) {
-                    transfer_interactive(&mut w, table, &t);
+                for rank in (tid..2 * TRANSFERS).step_by(2) {
+                    workload.run_interactive(&mut w, rank);
                 }
             });
         }
         // Auditor thread: snapshot consistency (opacity at work).
         {
             let rt = Arc::clone(&rt);
-            let table = &table;
             let done = &done;
             let audits = &audits;
             s.spawn(move || {
@@ -77,7 +85,6 @@ fn main() {
         {
             let rt = Arc::clone(&rt);
             let heap = Arc::clone(&heap);
-            let table = &table;
             let done = &done;
             s.spawn(move || {
                 let mut w = rt.open_session().expect("free worker slot");
@@ -105,9 +112,8 @@ fn main() {
         }
     });
 
-    let final_total = table.total(&heap);
-    println!("final total : {final_total} (expected {})", ACCOUNTS * INITIAL);
+    println!("final total : {} (expected {})", table.total(&heap), ACCOUNTS * INITIAL);
     println!("audits run  : {}", audits.load(Ordering::Relaxed));
-    assert_eq!(final_total, ACCOUNTS * INITIAL);
+    workload.verify(&heap).expect("transfers conserve the total");
     println!("opacity and privatization held throughout");
 }

@@ -39,6 +39,14 @@ cargo build --release --manifest-path benchmark/Cargo.toml
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== slow and free-running tests (#[ignore]d in the tier-1 pass, gating here) =="
+# A bare `cargo test` at the root runs every crate's fast tests. What it
+# skips runs here in release: rh-bench's end-to-end print-only check and
+# the free-running multi-thread paper-shape cells. The 16-thread
+# contention cell is informative only (below). `--tests` leaves out
+# doctests, whose `ignore` marks illustrative snippets, not slow tests.
+cargo test -q --workspace --release --tests -- --ignored --skip rh_beats_hybrid_under_contention
+
 echo "== benchmark crate tests (free and controlled builds) =="
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 cargo test -q --release --manifest-path benchmark/Cargo.toml --features controlled
@@ -88,12 +96,12 @@ echo "== batch executor smoke (Block-STM race vs the interactive engines, sentin
 # assert it).
 cargo run -p rh-bench --release -- batch --smoke
 
-echo "== free-running paper-shape cells (informative) =="
+echo "== free-running 16-thread contention cell (informative) =="
 # The 16-thread contention cell of crates/bench/tests/shapes.rs is
-# #[ignore]d in the test pass above: on a loaded 2-vCPU host the OS, not
-# the model, decides which transactions overlap. Its verdict is printed
-# here and never fails the build.
-cargo test -q -p rh-bench --release --test shapes -- --ignored \
+# skipped by both test passes above: on a loaded 2-vCPU host the OS, not
+# the model, decides which transactions overlap, and this cell's verdict
+# flips. It is printed here and never fails the build.
+cargo test -q -p rh-bench --release --test shapes -- --ignored --exact rh_beats_hybrid_under_contention \
     || echo "ci.sh: free-running shapes cell failed (informative, not gating)"
 
 echo "== service scheduler-grid smoke (static/steal/batch, sentinel-asserted) =="
