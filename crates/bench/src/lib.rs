@@ -31,7 +31,6 @@ pub mod batch;
 pub mod driver;
 pub mod figures;
 pub mod overhead;
-pub mod policy_grid;
 pub mod report;
 pub mod service;
 

@@ -6,18 +6,15 @@
 //! cargo run -p rh-bench --release -- fig5 fig6       # the STAMP figures
 //! cargo run -p rh-bench --release -- summary         # headline ratios
 //! cargo run -p rh-bench --release -- ablate          # design ablations
-//! cargo run -p rh-bench --release -- ablate --policy # adaptive-vs-static policy grid
 //! cargo run -p rh-bench --release -- all --paper     # everything, paper scale
 //! ```
 //!
 //! Flags: `--paper` (full workload sizes; default is a quick scale),
 //! `--csv` (machine-readable output), `--threads 1,4,16` (replace the
-//! sweep), `--duration-ms 500` (per-cell interval), `--policy` (with
-//! `ablate`: run the policy grid instead of the design ablations).
+//! sweep), `--duration-ms 500` (per-cell interval).
 
 use rh_bench::batch::BatchArgs;
 use rh_bench::figures::{self, Overrides, Scale};
-use rh_bench::policy_grid;
 use rh_bench::service::{self, ModeChoice, SchedChoice, ServiceArgs};
 use rh_norec::Algorithm;
 
@@ -29,7 +26,6 @@ fn main() {
         Scale::Quick
     };
     let csv = args.iter().any(|a| a == "--csv");
-    let policy = args.iter().any(|a| a == "--policy");
     let mut overrides = Overrides::default();
     let mut service_args = ServiceArgs { csv, ..ServiceArgs::default() };
     let mut requests_flag: Option<usize> = None;
@@ -107,7 +103,7 @@ fn main() {
                 skip_next = true;
             }
             "--smoke" => service_args.smoke = true,
-            "--paper" | "--csv" | "--policy" => {}
+            "--paper" | "--csv" => {}
             a if a.starts_with("--") => usage(&format!("unknown flag {a}")),
             a => targets.push(a),
         }
@@ -129,7 +125,6 @@ fn main() {
             "fig5" => figures::run_figure("Figure 5", &figures::figure5(scale), &algorithms, scale, csv, &overrides),
             "fig6" => figures::run_figure("Figure 6", &figures::figure6(scale), &algorithms, scale, csv, &overrides),
             "extras" => figures::run_figure("Extras", &figures::extras(scale), &algorithms, scale, csv, &overrides),
-            "ablate" if policy => policy_grid::run(scale, csv),
             "ablate" => figures::run_ablations(scale),
             "summary" => figures::run_summary(scale),
             "overhead" => rh_bench::overhead::run(scale, csv),
@@ -167,7 +162,6 @@ fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!("usage: rh-bench [fig4|fig5|fig6|extras|ablate|summary|overhead|service|batch|all]... \
        [--paper] [--csv] [--threads 1,2,4] [--duration-ms 500]\n       \
-       rh-bench ablate --policy   (adaptive-vs-static policy grid)\n       \
        rh-bench service [--engine NAME] [--threads N] [--requests N] [--seed S] [--smoke] \
        [--sched static|steal] [--mode session|batch]\n       \
        rh-bench batch [--threads 1,2,4,8,16] [--requests N] [--accounts N] [--zipf THETA] \

@@ -29,10 +29,10 @@ impl Drop for ScratchDir {
 }
 
 #[test]
-#[ignore = "runs three rh-bench targets end to end (~15 s in a debug build); scripts/ci.sh runs it"]
+#[ignore = "runs two rh-bench targets end to end (~10 s in a debug build); scripts/ci.sh runs it"]
 fn targets_write_no_files() {
     let dir = ScratchDir::new();
-    for args in [&["overhead"][..], &["ablate"], &["ablate", "--policy"]] {
+    for args in [&["overhead"][..], &["ablate"]] {
         let out = Command::new(env!("CARGO_BIN_EXE_rh-bench"))
             .args(args)
             .current_dir(&dir.0)

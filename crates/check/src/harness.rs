@@ -99,9 +99,9 @@ pub struct CaseConfig {
     /// `txs_per_thread` the requests per thread (`ops_per_tx` is
     /// unused).
     pub workload: CaseWorkload,
-    /// Policy-layer configuration handed to the builder (`None` keeps
-    /// the [`TmConfig`] default — policy off). Mutation recipes arm
-    /// [`adaptive_policy`] (every controller on, an epoch tick offered
+    /// Lane-controller configuration handed to the builder (`None` keeps
+    /// the [`TmConfig`] default — controller off). Mutation recipes arm
+    /// [`adaptive_policy`] (the controller on, an epoch tick offered
     /// after every commit) so short seeded scripts actually cross
     /// controller epochs; the policy-parity suite pins that `None` and
     /// an explicitly disabled config replay bit-for-bit identically.
@@ -273,17 +273,11 @@ enum Op {
 }
 
 /// The policy configuration mutation recipes arm via
-/// [`CaseConfig::policy`]: every controller on, with an epoch tick
+/// [`CaseConfig::policy`]: the lane controller on, with an epoch tick
 /// offered after every commit so the short seeded scripts actually
 /// cross controller epochs.
 pub fn adaptive_policy() -> rh_norec::PolicyConfig {
-    rh_norec::PolicyConfig {
-        enabled: true,
-        epoch_commits: 1,
-        adapt_backoff: true,
-        adapt_lanes: true,
-        adapt_prefix: true,
-    }
+    rh_norec::PolicyConfig { enabled: true, epoch_commits: 1 }
 }
 
 /// SplitMix64 — independent of the scheduler's XorShift stream, so the

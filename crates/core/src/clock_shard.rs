@@ -30,20 +30,26 @@
 //!
 //! ## Adaptive active-lane count (DESIGN.md §14)
 //!
-//! When the policy layer's lane controller is on, an extra padded heap
-//! word `lane_ctl` holds the number of *active* lanes (`1..=shards`).
-//! Writers home on `tid % active` and validation compares only the
-//! active prefix, so shrinking to one lane recovers the single clock's
-//! per-read cost while keeping the sharded layout. Re-homing is
-//! published only through [`ClockScheme::publish_active_lanes`], which
-//! runs under the write-phase epoch and bumps lane 0 before releasing —
-//! the **epoch fence**. Readers load the lane vector *before* `lane_ctl`
-//! (and the fence stores `lane_ctl` before bumping lane 0), so a
-//! snapshot that ever validates after the fence must have seen the fresh
-//! lane 0, hence the fresh `lane_ctl`; every torn interleaving
-//! self-invalidates on the bumped lane 0 or the held epoch. Without the
-//! controller `lane_ctl` is `Addr::NULL`, no path touches it, and
-//! behavior is bit-for-bit the static scheme.
+//! The one online controller besides the paper's §2.4 prefix lives here,
+//! next to the word it rules. With [`PolicyConfig::enabled`] and more
+//! than one shard, an extra padded heap word `lane_ctl` holds the number
+//! of *active* lanes (`1..=shards`). Writers home on `tid % active` and
+//! validation compares only the active prefix, so shrinking to one lane
+//! recovers the single clock's per-read cost while keeping the sharded
+//! layout. [`LaneController`] decides the count from per-thread commit
+//! telemetry at epoch boundaries; re-homing is published only through
+//! [`ClockScheme::publish_active_lanes`], which runs under the
+//! write-phase epoch and bumps lane 0 before releasing — the **epoch
+//! fence**. Readers load the lane vector *before* `lane_ctl` (and the
+//! fence stores `lane_ctl` before bumping lane 0), so a snapshot that
+//! ever validates after the fence must have seen the fresh lane 0, hence
+//! the fresh `lane_ctl`; every torn interleaving self-invalidates on the
+//! bumped lane 0 or the held epoch. Without the controller `lane_ctl` is
+//! `Addr::NULL`, no path touches it, and behavior is bit-for-bit the
+//! static scheme.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use sim_htm::{AbortCode, HtmThread};
 use sim_mem::{Addr, Heap};
@@ -66,7 +72,7 @@ pub struct ClockScheme {
     shards: u32,
     /// Write-phase mutex (sharded only; `Addr::NULL` when `shards == 1`).
     epoch: Addr,
-    /// Active-lane count word (policy lane adaptation only, `Addr::NULL`
+    /// Active-lane count word (lane controller only, `Addr::NULL`
     /// otherwise). Writers home on `tid % active`; changes go through
     /// the epoch fence of [`Self::publish_active_lanes`].
     lane_ctl: Addr,
@@ -156,12 +162,6 @@ impl ClockScheme {
         tid % self.shards as usize
     }
 
-    /// Whether the policy lane controller allocated an active-lane word.
-    #[inline]
-    pub(crate) fn has_lane_ctl(&self) -> bool {
-        !self.lane_ctl.is_null()
-    }
-
     /// Heap address of the active-lane count word, `None` when lane
     /// adaptation is off (diagnostics and the globals layout audit).
     pub fn lane_ctl_addr(&self) -> Option<Addr> {
@@ -202,7 +202,7 @@ impl ClockScheme {
     }
 
     /// Publishes a new active-lane count through the **epoch fence**
-    /// (policy lane controller only): acquire the write-phase epoch,
+    /// (lane controller only): acquire the write-phase epoch,
     /// store the new count, bump lane 0, release. The order is the
     /// safety argument — `lane_ctl` before the lane-0 bump, paired with
     /// readers loading lanes before `lane_ctl` — so fresh lanes imply a
@@ -213,7 +213,7 @@ impl ClockScheme {
     /// with no fence, leaving stale-homed writers invisible to fresh
     /// readers — the opacity checker's job to catch.
     pub(crate) fn publish_active_lanes(&self, heap: &Heap, new_active: u32, fenced: bool) {
-        debug_assert!(self.has_lane_ctl());
+        debug_assert!(!self.lane_ctl.is_null());
         debug_assert!(new_active >= 1 && new_active <= self.shards);
         if !fenced {
             // MUTANT (`Mutant::PolicyStaleEpoch`): no epoch, no bump — a
@@ -648,6 +648,180 @@ impl ClockScheme {
     }
 }
 
+/// Configuration of the active-lane controller, carried by the validated
+/// [`TmConfig`](crate::TmConfig) builder. Disabled by default: a runtime
+/// built without it allocates no controller state and executes
+/// bit-for-bit the static engine. The controller can act only on a
+/// sharded clock, so at `clock_shards = 1` enabling it changes nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PolicyConfig {
+    /// Master switch; `false` (default) compiles the controller down to
+    /// one never-taken branch per commit.
+    pub enabled: bool,
+    /// Per-thread commits between controller epochs: a thread whose
+    /// commit count crosses a multiple of this offers to tick the
+    /// controller. Must be nonzero when `enabled` (builder-validated).
+    pub epoch_commits: u64,
+}
+
+impl Default for PolicyConfig {
+    fn default() -> Self {
+        PolicyConfig { enabled: false, epoch_commits: 64 }
+    }
+}
+
+impl PolicyConfig {
+    /// The controller on, with an epoch every 64 commits per thread.
+    pub fn adaptive() -> Self {
+        PolicyConfig { enabled: true, ..PolicyConfig::default() }
+    }
+}
+
+/// One thread's padded telemetry block. Each field is a *running total*
+/// the owner refreshes with relaxed stores after every commit; the
+/// controller reads whole slots only at epoch boundaries and computes
+/// window deltas itself, so the commit path performs no shared
+/// read-modify-write at all.
+///
+/// `align(128)` keeps each slot on its own pair of 64-byte lines
+/// (adjacent-line prefetchers pull two), so two threads recording
+/// concurrently never touch the same cache line — the same false-sharing
+/// discipline as the clock lanes, asserted by the layout test below.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+pub(crate) struct PolicySlot {
+    commits: AtomicU64,
+    hw_commits: AtomicU64,
+    conflict_aborts: AtomicU64,
+    lane_cas_failures: AtomicU64,
+}
+
+/// A snapshot of one thread's running totals, written by the owner after
+/// each commit (see [`LaneController::record`]). Also the controller's
+/// aggregate over every slot, and the per-epoch delta between two
+/// aggregates.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SlotSample {
+    /// Transactions committed (any path).
+    pub(crate) commits: u64,
+    /// Transactions that committed in hardware: fast path or postfix. A
+    /// prefix commit does not count — it ends only the hardware read
+    /// prefix, and the transaction commits later on another path.
+    pub(crate) hw_commits: u64,
+    /// Conflict-flavored failures: HTM conflict aborts plus software
+    /// slow-path restarts — the controller's contention signal.
+    pub(crate) conflict_aborts: u64,
+    /// Clock write-phase CAS losses noted by the engines.
+    pub(crate) lane_cas_failures: u64,
+}
+
+impl SlotSample {
+    fn add_slot(&mut self, slot: &PolicySlot) {
+        self.commits += slot.commits.load(Ordering::Relaxed);
+        self.hw_commits += slot.hw_commits.load(Ordering::Relaxed);
+        self.conflict_aborts += slot.conflict_aborts.load(Ordering::Relaxed);
+        self.lane_cas_failures += slot.lane_cas_failures.load(Ordering::Relaxed);
+    }
+
+    /// Saturating per-window delta. Saturation (rather than wrap) makes a
+    /// `reset_stats` between epochs a one-window blind spot instead of a
+    /// garbage rate.
+    fn delta(&self, prev: &SlotSample) -> SlotSample {
+        SlotSample {
+            commits: self.commits.saturating_sub(prev.commits),
+            hw_commits: self.hw_commits.saturating_sub(prev.hw_commits),
+            conflict_aborts: self.conflict_aborts.saturating_sub(prev.conflict_aborts),
+            lane_cas_failures: self.lane_cas_failures.saturating_sub(prev.lane_cas_failures),
+        }
+    }
+}
+
+/// The active-lane controller of one runtime: per-thread telemetry slots
+/// and the tick gate. Allocated only when the controller can act
+/// ([`PolicyConfig::enabled`] and `clock_shards > 1`).
+///
+/// Threads *record* into their own padded [`PolicySlot`] with relaxed
+/// stores; the controller *aggregates* only at epoch boundaries, behind a
+/// `try_lock` gate so at most one thread pays the aggregation and nobody
+/// ever waits. Everything is preallocated at runtime construction;
+/// recording and ticking allocate nothing. Under the deterministic
+/// scheduler the controller is a pure function of the schedule: ticks
+/// trigger on per-thread commit counts, the gate is uncontended (one
+/// runnable thread at a time), and no wall clock is consulted.
+#[derive(Debug)]
+pub(crate) struct LaneController {
+    /// One padded slot per possible thread id, preallocated.
+    slots: Vec<PolicySlot>,
+    /// Tick mutual exclusion, guarding the aggregate totals of the
+    /// previous epoch boundary. `try_lock` only: a thread that loses the
+    /// race simply skips the tick.
+    gate: Mutex<SlotSample>,
+}
+
+impl LaneController {
+    pub(crate) fn new() -> LaneController {
+        LaneController {
+            slots: (0..sim_mem::MAX_THREADS).map(|_| PolicySlot::default()).collect(),
+            gate: Mutex::new(SlotSample::default()),
+        }
+    }
+
+    /// Refreshes thread `tid`'s running totals — relaxed stores into the
+    /// owner's own padded line, nothing shared touched.
+    #[inline]
+    pub(crate) fn record(&self, tid: usize, s: SlotSample) {
+        let slot = &self.slots[tid];
+        slot.commits.store(s.commits, Ordering::Relaxed);
+        slot.hw_commits.store(s.hw_commits, Ordering::Relaxed);
+        slot.conflict_aborts.store(s.conflict_aborts, Ordering::Relaxed);
+        slot.lane_cas_failures.store(s.lane_cas_failures, Ordering::Relaxed);
+    }
+
+    /// One controller epoch: aggregate every slot, apply the lane rule to
+    /// the window since the last epoch, publish a changed count through
+    /// the fence. Returns without doing anything if another thread holds
+    /// the gate or the window saw no commits.
+    ///
+    /// Lanes pay off exactly when hardware writers commit disjointly
+    /// (each bump stays on its home lane); when commits are
+    /// software-dominated every extra lane is pure per-read validation
+    /// tax. So the rule halves the active count when the window's
+    /// hardware-commit share is low, and doubles it when hardware
+    /// dominates *and* the contention signals (write-phase CAS losses,
+    /// conflict aborts) say commit metadata is being fought over.
+    ///
+    /// `unfenced_lane_publish` arms the `policy_stale_epoch` corpus
+    /// mutant: the change is published as a raw store, skipping the
+    /// epoch fence (the planted bug; see [`crate::mutants`]).
+    pub(crate) fn maybe_tick(&self, heap: &Heap, clock: &ClockScheme, unfenced_lane_publish: bool) {
+        let Ok(mut prev) = self.gate.try_lock() else { return };
+        let mut totals = SlotSample::default();
+        for slot in &self.slots {
+            totals.add_slot(slot);
+        }
+        let d = totals.delta(&prev);
+        if d.commits == 0 {
+            return;
+        }
+        *prev = totals;
+        let attempts = d.commits + d.conflict_aborts;
+        let active = clock.active_lanes(heap);
+        let hw_dominated = d.hw_commits * 2 >= d.commits;
+        let sw_dominated = d.hw_commits * 4 < d.commits;
+        let contended = d.lane_cas_failures > 0 || d.conflict_aborts * 8 >= attempts;
+        let new_active = if sw_dominated {
+            (active / 2).max(1)
+        } else if hw_dominated && contended {
+            (active * 2).min(clock.shards())
+        } else {
+            active
+        };
+        if new_active != active {
+            clock.publish_active_lanes(heap, new_active, !unfenced_lane_publish);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,7 +831,7 @@ mod tests {
 
     fn scheme(shards: u32) -> (Heap, Globals) {
         let heap = Heap::new(HeapConfig { words: 1 << 12 });
-        let g = Globals::allocate(&heap, shards);
+        let g = Globals::allocate(&heap, shards, false);
         (heap, g)
     }
 
@@ -750,7 +924,7 @@ mod tests {
 
     fn adaptive_scheme(shards: u32) -> (Heap, Globals) {
         let heap = Heap::new(HeapConfig { words: 1 << 12 });
-        let g = Globals::allocate_adaptive(&heap, shards, true);
+        let g = Globals::allocate(&heap, shards, true);
         (heap, g)
     }
 
@@ -760,7 +934,7 @@ mod tests {
         let mut cycles = 0;
         let snap = g.clock.begin(&heap, &mut cycles, &mut backoff());
         assert_eq!(snap.active, 4);
-        assert!(!g.clock.has_lane_ctl());
+        assert!(g.clock.lane_ctl_addr().is_none());
         assert_eq!(g.clock.active_lanes(&heap), 4);
     }
 
@@ -836,5 +1010,86 @@ mod tests {
         let (heap1, g1) = scheme(1);
         let snap1 = g1.clock.begin(&heap1, &mut cycles, &mut backoff());
         assert_eq!(g1.clock.validate_cost(&snap1), 0);
+    }
+
+    fn controller_fixture() -> (Heap, Globals, LaneController) {
+        let (heap, g) = adaptive_scheme(4);
+        (heap, g, LaneController::new())
+    }
+
+    #[test]
+    fn slots_are_padded_against_false_sharing() {
+        // One slot spans exactly one 128-byte block (the adjacent-line
+        // prefetch unit), so two owners' relaxed stores can never share
+        // a cache line — the PolicySlot analogue of the Globals
+        // false-sharing audit.
+        assert_eq!(std::mem::align_of::<PolicySlot>(), 128);
+        assert_eq!(std::mem::size_of::<PolicySlot>(), 128);
+        let ctl = LaneController::new();
+        for pair in ctl.slots.windows(2) {
+            let a = &pair[0] as *const PolicySlot as usize;
+            let b = &pair[1] as *const PolicySlot as usize;
+            assert!(b - a >= 128, "adjacent slots closer than a prefetch block");
+        }
+    }
+
+    #[test]
+    fn software_dominated_windows_shrink_the_active_lanes() {
+        let (heap, g, ctl) = controller_fixture();
+        assert_eq!(g.clock.active_lanes(&heap), 4);
+        // All commits in software, zero hardware share.
+        ctl.record(0, SlotSample { commits: 64, ..SlotSample::default() });
+        ctl.maybe_tick(&heap, &g.clock, false);
+        assert_eq!(g.clock.active_lanes(&heap), 2, "halved on a software-only window");
+        ctl.record(0, SlotSample { commits: 128, ..SlotSample::default() });
+        ctl.maybe_tick(&heap, &g.clock, false);
+        assert_eq!(g.clock.active_lanes(&heap), 1, "and again, floored at one lane");
+        ctl.record(0, SlotSample { commits: 192, ..SlotSample::default() });
+        ctl.maybe_tick(&heap, &g.clock, false);
+        assert_eq!(g.clock.active_lanes(&heap), 1, "never below one");
+    }
+
+    #[test]
+    fn contended_hardware_windows_grow_the_lanes_back() {
+        let (heap, g, ctl) = controller_fixture();
+        g.clock.publish_active_lanes(&heap, 1, true);
+        ctl.record(
+            0,
+            SlotSample { commits: 64, hw_commits: 60, conflict_aborts: 40, lane_cas_failures: 5 },
+        );
+        ctl.maybe_tick(&heap, &g.clock, false);
+        assert_eq!(g.clock.active_lanes(&heap), 2, "hardware-dominated + contended doubles");
+        // Quiet hardware-dominated window: no growth without contention.
+        ctl.record(1, SlotSample { commits: 64, hw_commits: 64, ..SlotSample::default() });
+        ctl.maybe_tick(&heap, &g.clock, false);
+        assert_eq!(g.clock.active_lanes(&heap), 2, "uncontended window leaves lanes alone");
+    }
+
+    #[test]
+    fn empty_windows_do_not_advance_the_epoch() {
+        // An empty window reads as hardware-dominated and contended
+        // (0 >= 0), so without the guard a tick with no commits would
+        // grow the lanes.
+        let (heap, g, ctl) = controller_fixture();
+        g.clock.publish_active_lanes(&heap, 1, true);
+        ctl.maybe_tick(&heap, &g.clock, false);
+        assert_eq!(g.clock.active_lanes(&heap), 1);
+        assert_eq!(*ctl.gate.lock().unwrap(), SlotSample::default(), "window not consumed");
+    }
+
+    #[test]
+    fn unfenced_publish_skips_the_epoch_fence() {
+        // The policy_stale_epoch mutant's hook: the lane-count store
+        // lands, but lane 0 does not move — exactly the missing
+        // invalidation the opacity checker must catch end to end.
+        let (heap, g, ctl) = controller_fixture();
+        let lane0_before = heap.load(g.clock.lane(0));
+        ctl.record(0, SlotSample { commits: 64, ..SlotSample::default() });
+        ctl.maybe_tick(&heap, &g.clock, true);
+        assert_eq!(g.clock.active_lanes(&heap), 2);
+        assert_eq!(heap.load(g.clock.lane(0)), lane0_before, "no fence bump");
+        // The fenced path does bump lane 0.
+        g.clock.publish_active_lanes(&heap, 4, true);
+        assert_eq!(heap.load(g.clock.lane(0)), lane0_before + 2);
     }
 }

@@ -1,7 +1,7 @@
 //! TM runtime configuration: algorithm selection and retry policies.
 
 use crate::error::TmError;
-use crate::policy::PolicyConfig;
+use crate::clock_shard::PolicyConfig;
 
 /// The TM algorithms evaluated in the paper (§3.1), plus the ablation
 /// variants this reproduction adds.
@@ -350,7 +350,7 @@ impl TmConfig {
         self.clock_shards
     }
 
-    /// The adaptive policy layer (DESIGN.md §14). Disabled by default.
+    /// The active-lane controller (DESIGN.md §14). Disabled by default.
     #[inline]
     pub fn policy(&self) -> PolicyConfig {
         self.policy
@@ -465,19 +465,12 @@ impl TmConfigBuilder {
         self
     }
 
-    /// Replaces the whole adaptive-policy block (DESIGN.md §14). The
+    /// Replaces the active-lane controller block (DESIGN.md §14). The
     /// default is [`PolicyConfig::default`] — disabled, bit-for-bit the
-    /// static engine; [`PolicyConfig::adaptive`] turns all three
-    /// controllers on.
+    /// static engine; [`PolicyConfig::adaptive`] turns the controller on.
+    /// It acts only on a sharded clock (`clock_shards > 1`).
     pub fn policy(mut self, policy: PolicyConfig) -> Self {
         self.config.policy = policy;
-        self
-    }
-
-    /// Enables or disables the adaptive policy layer, keeping the rest
-    /// of the policy block at its current values.
-    pub fn adaptive_policy(mut self, enabled: bool) -> Self {
-        self.config.policy.enabled = enabled;
         self
     }
 
@@ -550,7 +543,7 @@ impl TmConfigBuilder {
         }
         if c.policy.enabled && c.policy.epoch_commits == 0 {
             return Err(TmError::InvalidConfig {
-                reason: "policy epoch_commits must be nonzero when the policy layer is enabled",
+                reason: "policy epoch_commits must be nonzero when the lane controller is enabled",
             });
         }
         c.batch.validate()?;
@@ -741,12 +734,11 @@ mod tests {
             .policy(PolicyConfig::adaptive())
             .build()
             .unwrap();
-        assert!(c.policy().enabled);
-        assert!(c.policy().adapt_backoff && c.policy().adapt_lanes && c.policy().adapt_prefix);
-        let toggled = TmConfig::builder(Algorithm::RhNorec)
-            .adaptive_policy(true)
+        assert_eq!(c.policy(), PolicyConfig { enabled: true, epoch_commits: 64 });
+        let per_commit = TmConfig::builder(Algorithm::RhNorec)
+            .policy(PolicyConfig { epoch_commits: 1, ..PolicyConfig::adaptive() })
             .build()
             .unwrap();
-        assert!(toggled.policy().enabled);
+        assert_eq!(per_commit.policy().epoch_commits, 1);
     }
 }

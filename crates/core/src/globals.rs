@@ -71,22 +71,16 @@ impl Globals {
     /// Allocates the globals, one slot per cache line, zero-initialized.
     /// `clock_shards == 1` lays out exactly the classic four slots (clock
     /// word first); `clock_shards > 1` allocates the lane vector first and
-    /// the write-phase epoch last, each on its own line.
+    /// the write-phase epoch last, each on its own line. `lane_ctl` adds
+    /// the lane controller's active-lane word (its own line, initialized
+    /// to `clock_shards` so adaptation starts from the full sharding); it
+    /// is ignored for the single clock, which has nothing to adapt.
     ///
     /// # Panics
     ///
     /// Panics if `clock_shards` is outside `1..=MAX_CLOCK_SHARDS`, or if
     /// the heap cannot satisfy the line-sized allocations.
-    pub fn allocate(heap: &Heap, clock_shards: u32) -> Globals {
-        Globals::allocate_adaptive(heap, clock_shards, false)
-    }
-
-    /// [`Globals::allocate`] with the policy lane controller's
-    /// `clock_lane_ctl` word (its own cache line, initialized to
-    /// `clock_shards` so adaptation starts from the full sharding).
-    /// `lane_adaptation` is ignored for the single clock, which has
-    /// nothing to adapt.
-    pub fn allocate_adaptive(heap: &Heap, clock_shards: u32, lane_adaptation: bool) -> Globals {
+    pub fn allocate(heap: &Heap, clock_shards: u32, lane_ctl: bool) -> Globals {
         assert!(
             clock_shards >= 1 && clock_shards as usize <= MAX_CLOCK_SHARDS,
             "clock_shards must be in 1..={MAX_CLOCK_SHARDS}"
@@ -105,7 +99,7 @@ impl Globals {
         let num_of_fallbacks = slot();
         let serial_lock = slot();
         let epoch = if clock_shards == 1 { Addr::NULL } else { slot() };
-        let lane_ctl = if lane_adaptation && clock_shards > 1 {
+        let lane_ctl = if lane_ctl && clock_shards > 1 {
             let ctl = slot();
             heap.store(ctl, u64::from(clock_shards));
             ctl
@@ -184,7 +178,7 @@ mod tests {
         for lane_adaptation in [false, true] {
             for shards in 1..=MAX_CLOCK_SHARDS as u32 {
                 let heap = Heap::new(HeapConfig { words: 1 << 12 });
-                let g = Globals::allocate_adaptive(&heap, shards, lane_adaptation);
+                let g = Globals::allocate(&heap, shards, lane_adaptation);
                 assert_eq!(
                     g.false_sharing(),
                     Vec::<(&str, &str)>::new(),
@@ -200,9 +194,9 @@ mod tests {
     #[test]
     fn lane_ctl_is_allocated_only_for_adaptive_sharded_clocks() {
         let heap = Heap::new(HeapConfig { words: 1 << 12 });
-        assert!(Globals::allocate(&heap, 4).clock.lane_ctl_addr().is_none());
-        assert!(Globals::allocate_adaptive(&heap, 1, true).clock.lane_ctl_addr().is_none());
-        let g = Globals::allocate_adaptive(&heap, 4, true);
+        assert!(Globals::allocate(&heap, 4, false).clock.lane_ctl_addr().is_none());
+        assert!(Globals::allocate(&heap, 1, true).clock.lane_ctl_addr().is_none());
+        let g = Globals::allocate(&heap, 4, true);
         let ctl = g.clock.lane_ctl_addr().expect("adaptive sharded clock allocates lane_ctl");
         assert_eq!(heap.load(ctl), 4, "starts at the full sharding");
         assert_eq!(g.clock.active_lanes(&heap), 4);
@@ -211,7 +205,7 @@ mod tests {
     #[test]
     fn single_clock_layout_has_no_epoch() {
         let heap = Heap::new(HeapConfig { words: 1 << 12 });
-        let g = Globals::allocate(&heap, 1);
+        let g = Globals::allocate(&heap, 1, false);
         assert_eq!(g.clock.shards(), 1);
         assert!(g.clock.epoch_addr().is_none());
     }
@@ -220,7 +214,7 @@ mod tests {
     #[should_panic(expected = "clock_shards must be in 1..=")]
     fn zero_shards_is_rejected() {
         let heap = Heap::new(HeapConfig { words: 1 << 12 });
-        let _ = Globals::allocate(&heap, 0);
+        let _ = Globals::allocate(&heap, 0, false);
     }
 
     #[test]
@@ -253,7 +247,7 @@ mod tests {
     #[test]
     fn freshly_allocated_globals_read_as_unlocked() {
         let heap = Heap::new(HeapConfig { words: 1 << 12 });
-        let g = Globals::allocate(&heap, 1);
+        let g = Globals::allocate(&heap, 1, false);
         let word = g.clock.lane(0);
         assert!(!clock::is_locked(heap.load(word)));
         // A locked clock round-trips through the heap unharmed.
@@ -267,7 +261,7 @@ mod tests {
     fn globals_start_zeroed() {
         for shards in [1u32, 4] {
             let heap = Heap::new(HeapConfig { words: 1 << 12 });
-            let g = Globals::allocate(&heap, shards);
+            let g = Globals::allocate(&heap, shards, false);
             for (name, addr) in g.slots() {
                 assert_eq!(heap.load(addr), 0, "{name} not zeroed at clock_shards={shards}");
             }

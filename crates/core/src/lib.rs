@@ -54,7 +54,6 @@ mod error;
 mod globals;
 #[cfg(feature = "mutants")]
 pub mod mutants;
-mod policy;
 pub mod prelude;
 mod runtime;
 mod session;
@@ -74,14 +73,13 @@ mod txlog;
 pub const INSTRUMENTED: bool = cfg!(feature = "deterministic");
 
 pub use batch::{Batch, BatchReport, BatchTxn, Blocked, ParallelExecutor, TxView};
-pub use clock_shard::{ClockScheme, MAX_CLOCK_SHARDS};
+pub use clock_shard::{ClockScheme, PolicyConfig, MAX_CLOCK_SHARDS};
 pub use config::{
     Algorithm, BackoffConfig, BatchConfig, PrefixConfig, RetryPolicy, TmConfig, TmConfigBuilder,
     TxKind, MAX_BATCH_WORKERS, MAX_MVMAP_SHARDS,
 };
 pub use error::{TmError, TxFault, TxResult, TxRestart};
 pub use globals::{clock, Globals};
-pub use policy::PolicyConfig;
 pub use runtime::TmRuntime;
 pub use session::Session;
 pub use stats::{ThreadReport, TmThreadStats};

@@ -75,7 +75,7 @@ pub enum Mutant {
     /// consults this runtime's arming mask through
     /// [`TmRuntime::mutant_armed`](crate::TmRuntime::mutant_armed).
     KvStaleTransferCredit,
-    /// The adaptive policy controller publishes a lane-count change with a
+    /// The active-lane controller publishes a lane-count change with a
     /// raw store instead of the write-phase epoch fence
     /// (`clock_shard::publish_active_lanes` with `fenced == false`), so a
     /// writer holding a pre-change snapshot can home its commit on a lane
@@ -223,10 +223,9 @@ pub struct MutantSpec {
     /// [`WorkloadShape::KvTransfer`], `slots` is the key-space size and
     /// `txs_per_thread` the requests per thread; `ops_per_tx` is unused.
     pub workload: WorkloadShape,
-    /// Whether the kill recipe runs with the adaptive policy layer on
-    /// (every controller enabled, an epoch tick per commit). Required by
-    /// hooks planted in the policy/controller code path, which is never
-    /// exercised otherwise.
+    /// Whether the kill recipe runs with the active-lane controller on
+    /// (an epoch tick per commit). Required by hooks planted in the
+    /// controller code path, which is never exercised otherwise.
     pub policy: bool,
 }
 

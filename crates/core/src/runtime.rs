@@ -7,9 +7,9 @@ use sim_htm::Htm;
 use sim_mem::Heap;
 
 use crate::algorithms::tl2::Tl2Meta;
+use crate::clock_shard::LaneController;
 use crate::error::TmError;
 use crate::globals::Globals;
-use crate::policy::PolicyShared;
 use crate::session::Session;
 use crate::TmConfig;
 
@@ -25,10 +25,10 @@ pub struct TmRuntime {
     config: TmConfig,
     globals: Globals,
     tl2: Tl2Meta,
-    /// The adaptive policy controller's shared state (DESIGN.md §14);
-    /// `None` unless [`crate::PolicyConfig::enabled`] — the disabled
-    /// layer is one never-taken branch per commit.
-    policy: Option<PolicyShared>,
+    /// The active-lane controller (DESIGN.md §14); `None` unless
+    /// [`crate::PolicyConfig::enabled`] on a sharded clock — anywhere
+    /// else it is one never-taken branch per commit.
+    lane_controller: Option<LaneController>,
     /// Armed corpus mutants, one bit per [`crate::mutants::Mutant`].
     #[cfg(feature = "mutants")]
     mutant_mask: std::sync::atomic::AtomicU32,
@@ -47,17 +47,16 @@ impl TmRuntime {
         if !Arc::ptr_eq(htm.heap(), &heap) {
             return Err(TmError::HeapMismatch);
         }
-        let lane_adaptation =
-            config.policy.enabled && config.policy.adapt_lanes && config.clock_shards > 1;
-        let globals = Globals::allocate_adaptive(&heap, config.clock_shards, lane_adaptation);
-        let policy = config.policy.enabled.then(|| PolicyShared::new(&config));
+        let lane_control = config.policy.enabled && config.clock_shards > 1;
+        let globals = Globals::allocate(&heap, config.clock_shards, lane_control);
+        let lane_controller = lane_control.then(LaneController::new);
         Ok(Arc::new(TmRuntime {
             heap,
             htm,
             config,
             globals,
             tl2: Tl2Meta::new(),
-            policy,
+            lane_controller,
             #[cfg(feature = "mutants")]
             mutant_mask: std::sync::atomic::AtomicU32::new(0),
         }))
@@ -149,10 +148,10 @@ impl TmRuntime {
             .ok_or(TmError::ThreadIdOutOfRange { tid: max, max })
     }
 
-    /// The policy controller's shared state, when the layer is enabled.
+    /// The active-lane controller, when it is enabled on a sharded clock.
     #[inline]
-    pub(crate) fn policy(&self) -> Option<&PolicyShared> {
-        self.policy.as_ref()
+    pub(crate) fn lane_controller(&self) -> Option<&LaneController> {
+        self.lane_controller.as_ref()
     }
 }
 

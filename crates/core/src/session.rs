@@ -36,8 +36,8 @@ use std::sync::Arc;
 use sim_htm::HtmThread;
 
 use crate::algorithms;
+use crate::clock_shard::SlotSample;
 use crate::error::{TxFault, TxResult};
-use crate::policy::SlotSample;
 use crate::runtime::TmRuntime;
 use crate::stats::{ThreadReport, TmThreadStats};
 use crate::tx::{Tx, TxMem};
@@ -89,12 +89,10 @@ pub struct Session {
     pub(crate) backoff: Backoff,
     /// Adaptive expected HTM-prefix length (reads), per §2.4.
     pub(crate) prefix_len: u64,
-    /// Commits since the session opened (policy epoch cadence;
+    /// Commits since the session opened (lane-controller epoch cadence;
     /// deliberately not reset by [`reset_stats`](Self::reset_stats) so
     /// the tick rhythm survives benchmark warmup resets).
     policy_commits: u64,
-    /// Last controller epoch this session blended its prefix length on.
-    policy_epoch_seen: u64,
 }
 
 impl Session {
@@ -113,7 +111,6 @@ impl Session {
             backoff: Backoff::new(&rt.config().backoff, tid),
             prefix_len: rt.config().prefix.initial_reads,
             policy_commits: 0,
-            policy_epoch_seen: 0,
         }
     }
 
@@ -184,55 +181,34 @@ impl Session {
             Algorithm::RhNorecPostfixOnly => algorithms::rh_norec::run(self, kind, &mut body, false),
         }?;
         self.stats.commits += 1;
-        if self.rt.policy().is_some() {
-            self.policy_after_commit();
+        if self.rt.lane_controller().is_some() {
+            self.lane_controller_after_commit();
         }
         Ok(value)
     }
 
-    /// Post-commit policy work: refresh this thread's telemetry slot
-    /// (relaxed stores into its own padded line), offer a controller tick
-    /// at the epoch cadence, and pick up published knobs. Never runs when
-    /// the policy layer is off.
-    fn policy_after_commit(&mut self) {
-        let rt = Arc::clone(&self.rt);
-        let Some(shared) = rt.policy() else { return };
-        let cfg = rt.config();
+    /// Post-commit lane-controller work: refresh this thread's telemetry
+    /// slot (relaxed stores into its own padded line) and offer a
+    /// controller tick at the epoch cadence. Never runs when the
+    /// controller is off.
+    fn lane_controller_after_commit(&mut self) {
+        let Some(ctl) = self.rt.lane_controller() else { return };
         self.policy_commits += 1;
-        shared.record(
+        ctl.record(
             self.tid,
             SlotSample {
                 commits: self.policy_commits,
                 hw_commits: self.stats.fast_path_commits + self.stats.postfix_commits,
                 conflict_aborts: self.stats.htm_conflict_aborts() + self.stats.slow_path_restarts,
-                fallbacks: self.stats.slow_path_entries,
-                backoff_spins: self.backoff.spins_waited(),
                 lane_cas_failures: self.backoff.lane_cas_failures(),
-                prefix_attempts: self.stats.prefix_attempts,
-                prefix_commits: self.stats.prefix_commits,
             },
         );
-        if self.policy_commits.is_multiple_of(cfg.policy.epoch_commits) {
+        if self.policy_commits.is_multiple_of(self.rt.config().policy.epoch_commits) {
             #[cfg(feature = "mutants")]
-            let unfenced = rt.mutant_armed(crate::mutants::Mutant::PolicyStaleEpoch);
+            let unfenced = self.rt.mutant_armed(crate::mutants::Mutant::PolicyStaleEpoch);
             #[cfg(not(feature = "mutants"))]
             let unfenced = false;
-            shared.maybe_tick(rt.heap(), &rt.globals().clock, cfg, unfenced);
-        }
-        if cfg.policy.adapt_backoff {
-            self.backoff.set_max_spins(shared.backoff_cap());
-        }
-        let epoch = shared.epoch();
-        if epoch != self.policy_epoch_seen {
-            if cfg.policy.adapt_prefix && cfg.prefix.adaptive {
-                // Blend toward the controller's target rather than jump:
-                // the §2.4 per-attempt reflex keeps working between
-                // epochs; this is its slow timescale.
-                let target = shared.prefix_target();
-                self.prefix_len = ((self.prefix_len + target) / 2)
-                    .clamp(cfg.prefix.min_reads.max(1), cfg.prefix.max_reads);
-            }
-            self.policy_epoch_seen = epoch;
+            ctl.maybe_tick(self.rt.heap(), &self.rt.globals().clock, unfenced);
         }
     }
 
@@ -273,18 +249,6 @@ impl Session {
     #[inline]
     pub fn prefix_len(&self) -> u64 {
         self.prefix_len
-    }
-
-    /// Controller epochs completed by the adaptive policy layer
-    /// (0 when the layer is off), for diagnostics.
-    pub fn policy_epoch(&self) -> u64 {
-        self.rt.policy().map_or(0, |p| p.epoch())
-    }
-
-    /// The commit clock's current active-lane count (equals
-    /// `clock_shards` whenever lane adaptation is off), for diagnostics.
-    pub fn active_clock_lanes(&self) -> u32 {
-        self.rt.globals().clock.active_lanes(self.rt.heap())
     }
 
     /// Reallocations of this session's recycled slow-path log arenas

@@ -1,12 +1,13 @@
-//! Warm-path allocation guard for the adaptive policy layer.
+//! Warm-path allocation guard for the active-lane controller.
 //!
 //! Counter recording runs after *every* commit, so it must stay off the
 //! allocator entirely: the per-thread slots are preallocated padded
 //! blocks, the controller state lives behind a fixed mutex, and an
-//! epoch tick only mutates atomics. This test pins that with every
-//! controller enabled and an epoch offered per commit, thousands of
-//! warm transactions perform zero heap allocations — a stricter bound
-//! than the arena `grow_events` guard, which only watches the tx logs.
+//! epoch tick only mutates atomics and heap words. This test pins that
+//! with the controller enabled on a sharded clock and an epoch offered
+//! per commit, thousands of warm transactions perform zero heap
+//! allocations — a stricter bound than the arena `grow_events` guard,
+//! which only watches the tx logs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,13 +50,7 @@ fn warm_commits_with_policy_enabled_never_allocate() {
         let htm = Htm::new(Arc::clone(&heap), HtmConfig::disabled());
         let cfg = TmConfig::builder(alg)
             .clock_shards(4)
-            .policy(PolicyConfig {
-                enabled: true,
-                epoch_commits: 1,
-                adapt_backoff: true,
-                adapt_lanes: true,
-                adapt_prefix: true,
-            })
+            .policy(PolicyConfig { enabled: true, epoch_commits: 1 })
             .build()
             .expect("valid adaptive config");
         let rt = TmRuntime::new(Arc::clone(&heap), htm, cfg).expect("runtime");
@@ -86,13 +81,13 @@ fn warm_commits_with_policy_enabled_never_allocate() {
         assert_eq!(
             ALLOCATIONS.load(Ordering::Relaxed),
             allocs,
-            "{alg:?}: a warm commit with the adaptive policy enabled hit the \
+            "{alg:?}: a warm commit with the lane controller enabled hit the \
              heap allocator (counter recording or an epoch tick allocates)"
         );
         assert_eq!(
             w.log_grow_events(),
             grows,
-            "{alg:?}: a warm transaction grew a log arena under the policy layer"
+            "{alg:?}: a warm transaction grew a log arena under the lane controller"
         );
     }
 }

@@ -81,12 +81,6 @@ cargo run -p rh-bench --release -- overhead --csv
 echo "== ablation smoke (single vs sharded clock, quick scale) =="
 cargo run -p rh-bench --release -- ablate
 
-echo "== policy ablate smoke (adaptive vs static grid, quick scale) =="
-# The uninstrumented-config exercise of the adaptive policy layer: the
-# full grid (static1/static4/adaptive on the four sentinels) and the
-# adaptive-vs-best-static verdict per cell.
-cargo run -p rh-bench --release -- ablate --policy
-
 echo "== batch executor smoke (Block-STM race vs the interactive engines, sentinel printed) =="
 # Runs the batch engine against all five interactive engines on the same
 # transfer batch at 1 and 4 threads. The run asserts balance
@@ -126,13 +120,17 @@ echo "== mutation-score gate (hard 100% kill floor over the planted-bug corpus) 
 # per-mutant kill table; any survivor or clean failure exits nonzero.
 cargo run -p tm-check --release --bin tm-check -- mutate --budget 40
 
-echo "== policy parity (bit-for-bit off, seed-pure on, instrumented oracle config) =="
+echo "== policy parity (bit-for-bit off, seed-pure on, seeded lane claims) =="
 # The workspace test pass above already runs this suite once; this
-# explicit release-mode invocation is the named gate for the policy
-# layer's parity contract: an explicitly disabled PolicyConfig replays
-# bit-for-bit as the default, adaptive replays are a pure function of
-# the seed, the controllers provably engage, and a seeded sweep with
-# every controller on stays opaque under both oracles.
+# explicit release-mode invocation is the named gate for the lane
+# controller's contract: an explicitly disabled PolicyConfig, and the
+# controller at clock_shards = 1, replay bit-for-bit as the default;
+# adaptive replays are a pure function of the seed; the controller
+# provably engages; a seeded sweep with it on stays opaque under both
+# oracles. It also gates the seeded lane claims: on four contention
+# cells under the controlled scheduler, static4 beats static1 where
+# commits are disjoint, and adaptive tracks the better static setting,
+# at pinned cycle totals.
 cargo test -q -p tm-check --release --test policy_parity
 
 echo "== batch parity (bit-for-bit vs sequential rank order, 1-worker fast path) =="
